@@ -146,6 +146,9 @@ def main():
         build_dir = ROOT / build_dir
     work_dir = build_dir / "run"
     work_dir.mkdir(parents=True, exist_ok=True)
+    # Compiler and program temporaries stay inside the build directory too.
+    (build_dir / "tmp").mkdir(exist_ok=True)
+    os.environ["TMPDIR"] = str(build_dir / "tmp")
     program = build(build_dir, time.monotonic() + BUILD_LIMIT_S)
     if program is None:
         log("error: benchmark build failed")
