@@ -11,20 +11,22 @@
 // (text -> IPC and pre-built batch -> IPC) and an in-process server driven
 // over its socket by two closed-loop clients. The workloads differ in where
 // the run spends its time (WorkloadSpec sizes each phase of the cycles a
-// run repeats for --seconds), so each end-to-end metric is measured on
-// every workload while each workload stresses its own layers.
+// run makes), so each end-to-end metric is measured on every workload while
+// each workload stresses its own layers.
 //
 // Layers are timed from outside, around calls into their public functions:
 // Pipeline stages, a counting/timing ThroughputOracle decorator under the
 // BenchmarkRunner, KernelBatch::add, predictIpcBatch, Microkernel::parse,
-// loadMappingAuto, CompiledMapping::compile, the serve protocol functions
-// and Client::query. With --trace 1 the fine-grained timers run and spans
-// are kept in memory and written out as Chrome trace JSON at exit; work
-// counts are collected in both modes and must agree between them.
+// loadMappingAuto, CompiledMapping::compile, Client::query and the serve
+// protocol's encode/decode functions. With --trace 1 the fine-grained
+// timers run and spans are kept in memory and written out as Chrome trace
+// JSON at exit; work counts are collected in both modes and must agree
+// between them.
 //
 // Usage: perfbench_workload WORKLOAD SEED SECONDS TRACE REPORT.json
 //        (run from a scratch directory: mapping files, the server socket
-//        and the trace file are created in the working directory)
+//        and the trace file are created in the working directory; each
+//        cold map runs in a child process, see mapProcess)
 //
 //===----------------------------------------------------------------------===//
 
@@ -33,6 +35,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -41,13 +44,15 @@
 #include <deque>
 #include <exception>
 #include <fstream>
+#include <malloc.h>
 #include <mutex>
 #include <pthread.h>
 #include <sched.h>
+#include <spawn.h>
+#include <stdexcept>
 #include <string>
 #include <sys/resource.h>
-#include <sys/socket.h>
-#include <sys/un.h>
+#include <sys/wait.h>
 #include <thread>
 #include <unistd.h>
 #include <vector>
@@ -314,10 +319,13 @@ private:
 //===----------------------------------------------------------------------===//
 
 /// How one workload spends a run. A run maps every profile once (which
-/// yields the mappings), then repeats cycles until --seconds have passed
-/// and ends with one more probe block: a cycle is a probe block (
+/// yields the mappings), then makes round(--seconds / SecondsPerCycle)
+/// cycles and ends with one more probe block: a cycle is a probe block (
 /// CorpusPasses text -> IPC passes, BatchSlice seconds of pre-built batch
 /// passes, ServeSlice seconds of serving) followed by one cold map round.
+/// The cycle count depends on --seconds alone, not on how fast the host or
+/// the code is, so a faster map shortens the run instead of adding serve
+/// slices (and server cache entries) to it.
 /// Interleaving spreads each metric's samples over the whole run, so a
 /// spell of interference from other processes touches a few samples of
 /// every metric rather than all samples of one. The phases that are not a
@@ -332,9 +340,9 @@ struct WorkloadSpec {
   double BatchSlice;     ///< Seconds of pre-built batch passes per cycle.
   double ServeSlice;     ///< Seconds of serving per cycle.
   size_t HotKernels;     ///< Zipf-drawn served kernels per profile.
-  /// Typical cycle length on a 4-CPU host; only sizes the first-seen
-  /// kernel pools.
-  double CycleSeconds;
+  /// Seconds of --seconds one cycle stands for: about one cycle's length
+  /// on a 4-CPU host, so a run lasts about --seconds there.
+  double SecondsPerCycle;
 };
 
 const WorkloadSpec Workloads[] = {
@@ -345,10 +353,14 @@ const WorkloadSpec Workloads[] = {
 
 /// Full cycles every run makes, however long they take.
 constexpr int MinCycles = 2;
+/// Past MinCycles, a run makes no further cycle once it has run this many
+/// times --seconds, so a slow host still finishes within the time the
+/// benchmark allows a run.
+constexpr double MaxRunFactor = 1.6;
 constexpr size_t HeldOutBlocks = 8000;
 constexpr size_t HotCorpusBlocks = 4096;
 constexpr size_t CheckSample = 4096;
-constexpr int SetupRepeats = 3;
+constexpr int SetupRepeats = 5;
 constexpr int NumClients = 2;
 /// Serving is measured in slices of at most this many seconds.
 constexpr double MaxServeSlice = 0.5;
@@ -356,9 +368,6 @@ constexpr double MaxServeSlice = 0.5;
 /// share would add ~200k cache entries per second (about 1 GB per run);
 /// 1% still puts a cold miss in about a quarter of the requests.
 constexpr double FreshShare = 0.01;
-/// First-seen kernels drawn per client and expected second of serving,
-/// split over the profiles; runs on a 4-CPU host use about half of them.
-constexpr double FreshPerServeSecond = 16000;
 constexpr double ZipfExponent = 1.1;
 
 /// Machines are fixed per profile (the shipped StressIsaConfig seeds): the
@@ -420,8 +429,7 @@ struct ProfileState {
   std::vector<Microkernel> HeldOut;
   std::string Corpus; ///< '\n'-terminated lines, as read from a file.
   std::vector<std::string> HotPool;
-  std::vector<Microkernel> HotKernels;              ///< HotPool, parsed.
-  std::vector<std::vector<std::string>> FreshPools; ///< One per client.
+  std::vector<Microkernel> HotKernels; ///< HotPool, parsed.
   // Mapping (cycle 0, then saved, reloaded and compiled in set-up).
   std::optional<ResourceMapping> Mapped;
   std::optional<ResourceMapping> Loaded;
@@ -431,9 +439,8 @@ struct ProfileState {
   // Corpus batch and the answers of the first corpus pass.
   predict::KernelBatch Batch;
   std::vector<std::optional<double>> BatchIpc;
-  // Batch-engine answers for the served pools.
+  // Batch-engine answers for the hot served kernels.
   std::vector<serve::KernelAnswer> HotExpected;
-  std::vector<std::vector<serve::KernelAnswer>> FreshExpected;
 
   ProfileState(std::string Name, MachineModel M)
       : Name(std::move(Name)), Machine(std::move(M)) {}
@@ -441,8 +448,9 @@ struct ProfileState {
 
 /// First-seen served kernel \p J of client \p C: a hot-pool kernel with
 /// its first term's multiplicity raised past anything the generator draws,
-/// by a distinct step per (client, pass over the pool), so no two fresh
-/// kernels and no hot kernel coincide.
+/// by a distinct step per (client, pass over the pool), so it is no hot
+/// kernel and seldom an earlier fresh one. Clients draw them as they go,
+/// so a run never runs out of first-seen kernels however fast it serves.
 Microkernel freshKernel(const std::vector<Microkernel> &Hot, unsigned C,
                         size_t J) {
   Microkernel K = Hot[J % Hot.size()];
@@ -452,8 +460,7 @@ Microkernel freshKernel(const std::vector<Microkernel> &Hot, unsigned C,
 }
 
 /// Builds the machines and draws every seeded input of one run.
-std::vector<ProfileState> makeInputs(const WorkloadSpec &Spec, uint64_t Seed,
-                                     size_t FreshPerClient) {
+std::vector<ProfileState> makeInputs(const WorkloadSpec &Spec, uint64_t Seed) {
   std::vector<ProfileState> Ps;
   for (const char *Name : Spec.Profiles)
     Ps.emplace_back(Name, makeProfileMachine(Name));
@@ -482,13 +489,17 @@ std::vector<ProfileState> makeInputs(const WorkloadSpec &Spec, uint64_t Seed,
                            streamSeed(Seed, "serve-hot" + N));
     for (const std::string &T : P.HotPool)
       P.HotKernels.push_back(*Microkernel::parse(T, Isa));
-    P.FreshPools.resize(NumClients);
-    for (unsigned C = 0; C < NumClients; ++C)
-      for (size_t J = 0; J < FreshPerClient; ++J)
-        P.FreshPools[C].push_back(freshKernel(P.HotKernels, C, J).str(Isa));
   }
   return Ps;
 }
+
+/// Returns freed heap memory to the system; called between phases, off
+/// their clocks. Phases run on fresh threads, and memory one phase frees
+/// stays in its threads' malloc arenas, where the next phase may not reuse
+/// it. Without this the peak RSS would follow which arenas the scheduler
+/// happened to hand out, where with it the peak is the largest phase's own
+/// footprint, as a process running that phase alone would see.
+void releaseFreeMemory() { ::malloc_trim(0); }
 
 /// Keeps every worker busy for \p Seconds. On a shared 4-CPU virtual
 /// machine (Xeon, gcc 12 Release build) a process's first second of
@@ -515,56 +526,131 @@ void warmUp(Executor &Exec, double Seconds) {
 /// One cold map of one profile.
 struct MapRecord {
   double WallS = 0, SelectS = 0, CoreS = 0, CompleteS = 0, OracleBusyS = 0;
-  uint64_t OracleCalls = 0, RunnerRequests = 0;
+  uint64_t Digest = 0, OracleCalls = 0, RunnerRequests = 0;
   PalmedStats Stats;
   std::optional<ResourceMapping> Mapping;
 };
 
-/// Maps \p P in a fresh thread, so thread-local solver state (the shape
-/// memo, LP scratch) starts empty as it does for a `palmed_cli map` user.
+uint64_t mappingDigest(const ResourceMapping &M, const MachineModel &Machine) {
+  return fnv1a(serve::serializeMapping(M, Machine));
+}
+
+/// This program's path, for starting map processes.
+const char *SelfPath = nullptr;
+/// Map process clock marks: start, pipeline built, then the ends of
+/// selectBasics, solveCoreMapping, completeMapping and takeResult.
+constexpr int NumMapMarks = 6;
+
+/// The map process, `perfbench_workload --map PROFILE WORKERS TRACE OUT`:
+/// one cold map of PROFILE, as `palmed_cli map` runs it. A process of its
+/// own starts with an empty heap and empty thread-local solver state (the
+/// shape memo, LP scratch), and its peak RSS is the map's alone. Writes
+/// the stage boundaries (steady-clock ticks, which the parent shares), the
+/// mapping's digest and the work counts to OUT, and the mapping to
+/// OUT.mapping.
+int mapProcess(const std::string &Profile, unsigned Workers, bool Trace,
+               const std::string &Out) {
+  MachineModel Machine = makeProfileMachine(Profile);
+  Clock::time_point T[NumMapMarks];
+  T[0] = Clock::now();
+  AnalyticOracle Analytic(Machine);
+  TimedOracle Oracle(Analytic, Trace);
+  CountingRunner Runner(Machine, Oracle);
+  PalmedConfig Cfg;
+  Cfg.Execution = ExecutionPolicy::parallel(Workers);
+  // As `palmed_cli map`: pair pruning is the huge profile's default.
+  Cfg.Selection.ClusterPairPruning = Profile == "huge";
+  Pipeline Pipe(Runner, Cfg);
+  T[1] = Clock::now();
+  Pipe.selectBasics();
+  T[2] = Clock::now();
+  Pipe.solveCoreMapping();
+  T[3] = Clock::now();
+  Pipe.completeMapping();
+  T[4] = Clock::now();
+  PalmedResult R = Pipe.takeResult();
+  T[5] = Clock::now();
+  serve::MappingIOError Err;
+  if (!serve::saveMapping(Out + ".mapping", R.Mapping, Machine, &Err)) {
+    std::fprintf(stderr, "error: cannot save mapping: %s\n",
+                 Err.Message.c_str());
+    return 1;
+  }
+  PerThreadCounter::Totals Oracled = Oracle.totals();
+  const PalmedStats &S = R.Stats;
+  std::ofstream OS(Out);
+  for (Clock::time_point X : T)
+    OS << X.time_since_epoch().count() << ' ';
+  OS << static_cast<uint64_t>(Oracled.BusyS * 1e9) << ' '
+     << mappingDigest(R.Mapping, Machine) << ' ' << Oracled.Events << ' '
+     << Runner.requests() << ' ' << S.NumBenchmarks << ' '
+     << S.PairBenchmarks << ' ' << S.NumResources << ' ' << S.NumCoreKernels
+     << ' '
+     << S.NumShapeConstraints << ' ' << S.CoreLpSolves << ' '
+     << S.CoreLpPivots << ' ' << S.CompleteLpSolves << ' '
+     << S.CompleteLpPivots << ' ' << S.LpWarmStartAttempts << ' '
+     << S.LpWarmStartHits << '\n';
+  return OS ? 0 : 1;
+}
+
+/// Maps \p P in a map process and reads back its record (with the mapping
+/// when \p WantMapping). The map's wall time runs from building the oracle
+/// to taking the pipeline's result, inside the map process; the process's
+/// start and exit are not timed.
 MapRecord coldMap(const ProfileState &P, unsigned Workers, bool Trace,
-                  SpanLog &Log) {
+                  bool WantMapping, SpanLog &Log) {
+  const std::string Out = "map-" + P.Name + "-" + std::to_string(::getpid());
+  const std::string WorkersArg = std::to_string(Workers);
+  const char *Args[] = {SelfPath,          "--map",           P.Name.c_str(),
+                        WorkersArg.c_str(), Trace ? "1" : "0", Out.c_str(),
+                        nullptr};
+  pid_t Pid = 0;
+  Clock::time_point Spawned = Clock::now();
+  if (::posix_spawn(&Pid, SelfPath, nullptr, nullptr,
+                    const_cast<char *const *>(Args), environ) != 0)
+    throw std::runtime_error("cannot start a map process");
+  int Status = 0;
+  while (::waitpid(Pid, &Status, 0) < 0 && errno == EINTR) {
+  }
+  Log.add("map.process", Spawned, Clock::now());
+  std::ifstream IS(Out);
+  Clock::rep Ticks[NumMapMarks] = {};
+  uint64_t BusyNs = 0;
   MapRecord Rec;
-  std::exception_ptr Error;
-  Clock::time_point T0 = Clock::now();
-  std::thread Worker([&] {
-    try {
-      AnalyticOracle Analytic(P.Machine);
-      TimedOracle Oracle(Analytic, Trace);
-      CountingRunner Runner(P.Machine, Oracle);
-      PalmedConfig Cfg;
-      Cfg.Execution = ExecutionPolicy::parallel(Workers);
-      // As `palmed_cli map`: pair pruning is the huge profile's default.
-      Cfg.Selection.ClusterPairPruning = P.Name == "huge";
-      Pipeline Pipe(Runner, Cfg);
-      Rec.SelectS = timed(Log, "palmed.select", [&] { Pipe.selectBasics(); });
-      Rec.CoreS = timed(Log, "palmed.core", [&] { Pipe.solveCoreMapping(); });
-      Rec.CompleteS =
-          timed(Log, "palmed.complete", [&] { Pipe.completeMapping(); });
-      PerThreadCounter::Totals Oracled = Oracle.totals();
-      Rec.OracleBusyS = Oracled.BusyS;
-      Rec.OracleCalls = Oracled.Events;
-      Rec.RunnerRequests = Runner.requests();
-      PalmedResult R = Pipe.takeResult();
-      Rec.Stats = R.Stats;
-      Rec.Mapping = std::move(R.Mapping);
-    } catch (...) {
-      Error = std::current_exception();
-    }
-  });
-  Worker.join();
-  Clock::time_point T1 = Clock::now();
-  Log.add("map", T0, T1);
-  Rec.WallS = secondsBetween(T0, T1);
-  if (Error)
-    std::rethrow_exception(Error);
+  PalmedStats &S = Rec.Stats;
+  for (Clock::rep &X : Ticks)
+    IS >> X;
+  IS >> BusyNs >> Rec.Digest >> Rec.OracleCalls >> Rec.RunnerRequests >>
+      S.NumBenchmarks >> S.PairBenchmarks >> S.NumResources >>
+      S.NumCoreKernels >> S.NumShapeConstraints >> S.CoreLpSolves >>
+      S.CoreLpPivots >> S.CompleteLpSolves >> S.CompleteLpPivots >>
+      S.LpWarmStartAttempts >> S.LpWarmStartHits;
+  const bool Ok = WIFEXITED(Status) && WEXITSTATUS(Status) == 0 && IS;
+  ::unlink(Out.c_str());
+  serve::MappingIOError Err;
+  if (Ok && WantMapping)
+    Rec.Mapping = serve::loadMappingAuto(Out + ".mapping", P.Machine, &Err);
+  ::unlink((Out + ".mapping").c_str());
+  if (!Ok || (WantMapping && !Rec.Mapping))
+    throw std::runtime_error("map process failed; " + Err.Message);
+  Clock::time_point T[NumMapMarks];
+  for (int I = 0; I < NumMapMarks; ++I)
+    T[I] = Clock::time_point(Clock::duration(Ticks[I]));
+  Log.add("palmed.select", T[1], T[2]);
+  Log.add("palmed.core", T[2], T[3]);
+  Log.add("palmed.complete", T[3], T[4]);
+  Rec.WallS = secondsBetween(T[0], T[5]);
+  Rec.SelectS = secondsBetween(T[1], T[2]);
+  Rec.CoreS = secondsBetween(T[2], T[3]);
+  Rec.CompleteS = secondsBetween(T[3], T[4]);
+  Rec.OracleBusyS = static_cast<double>(BusyNs) * 1e-9;
   return Rec;
 }
 
 /// The work counts of a map that must repeat exactly on every run.
-std::vector<uint64_t> mapCounts(const MapRecord &R, uint64_t Digest) {
+std::vector<uint64_t> mapCounts(const MapRecord &R) {
   const PalmedStats &S = R.Stats;
-  return {Digest,
+  return {R.Digest,
           R.OracleCalls,
           R.RunnerRequests,
           S.NumBenchmarks,
@@ -603,17 +689,18 @@ void mapRound(std::vector<ProfileState> &Profiles, unsigned Workers,
     ProfileState &P = Profiles[I];
     MapRecord Rec;
     try {
-      Rec = coldMap(P, Workers, Trace, Log);
+      Rec = coldMap(P, Workers, Trace, First, Log);
     } catch (const std::exception &E) {
       TheLedger.check(false, "map of " + P.Name + " threw: " + E.what());
       continue;
     }
-    uint64_t Digest = fnv1a(serve::serializeMapping(*Rec.Mapping, P.Machine));
-    std::vector<uint64_t> Counts = mapCounts(Rec, Digest);
+    std::vector<uint64_t> Counts = mapCounts(Rec);
     if (First) {
-      TheLedger.check(true, "map");
+      TheLedger.check(mappingDigest(*Rec.Mapping, P.Machine) == Rec.Digest,
+                      "mapping of " + P.Name +
+                          " read back from its map process differs");
       S.Counts[I] = Counts;
-      P.Digest = Digest;
+      P.Digest = Rec.Digest;
       P.Resources = Rec.Stats.NumResources;
       P.Mapped = std::move(Rec.Mapping);
     } else {
@@ -645,12 +732,9 @@ void mapRound(std::vector<ProfileState> &Profiles, unsigned Workers,
 // rate follows the engine.
 //===----------------------------------------------------------------------===//
 
-/// Runs \p F on a fresh thread pinned to the next CPU the process may use,
-/// in turn. On a shared host one CPU can run 1.5x slower than another for
-/// seconds (a busy hyperthread sibling); rotating single-threaded passes
-/// over every CPU weighs each CPU alike in every run, where the scheduler
-/// would keep a run's passes on whichever CPU it picked.
-template <typename Fn> void onNextCpu(Fn &&F) {
+/// The CPUs this process may run on: its affinity mask, which nproc reads
+/// too. Empty if the mask cannot be read.
+const std::vector<int> &allowedCpus() {
   static const std::vector<int> Cpus = [] {
     std::vector<int> Out;
     cpu_set_t Set;
@@ -661,6 +745,16 @@ template <typename Fn> void onNextCpu(Fn &&F) {
           Out.push_back(C);
     return Out;
   }();
+  return Cpus;
+}
+
+/// Runs \p F on a fresh thread pinned to the next CPU the process may use,
+/// in turn. On a shared host one CPU can run 1.5x slower than another for
+/// seconds (a busy hyperthread sibling); rotating single-threaded passes
+/// over every CPU weighs each CPU alike in every run, where the scheduler
+/// would keep a run's passes on whichever CPU it picked.
+template <typename Fn> void onNextCpu(Fn &&F) {
+  const std::vector<int> &Cpus = allowedCpus();
   static size_t Next = 0;
   const int Cpu = Cpus.empty() ? -1 : Cpus[Next++ % Cpus.size()];
   std::exception_ptr Error;
@@ -832,65 +926,21 @@ std::vector<serve::KernelAnswer> engineAnswers(const ProfileState &P, size_t N,
   return Out;
 }
 
-/// Protocol connection for traced runs: the steps of Client::query
-/// (encode, frame round trip, decode), each timed on its own.
-class TracedConnection {
-public:
-  TracedConnection() = default;
-  TracedConnection(const TracedConnection &) = delete;
-  TracedConnection &operator=(const TracedConnection &) = delete;
-  ~TracedConnection() {
-    if (Fd >= 0)
-      ::close(Fd);
-  }
-
-  bool connect(const std::string &Path) {
-    sockaddr_un Addr{};
-    Addr.sun_family = AF_UNIX;
-    if (Path.size() >= sizeof(Addr.sun_path))
-      return false;
-    std::memcpy(Addr.sun_path, Path.c_str(), Path.size() + 1);
-    Fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    return Fd >= 0 && ::connect(Fd, reinterpret_cast<sockaddr *>(&Addr),
-                                sizeof(Addr)) == 0;
-  }
-
-  std::optional<serve::QueryResponse>
-  query(serve::QueryRequest Req, double &EncodeS, double &DecodeS) {
-    Clock::time_point T0 = Clock::now();
-    std::string Frame = serve::encodeQueryRequest(Req);
-    Clock::time_point T1 = Clock::now();
-    std::string Reply;
-    if (!serve::writeFrame(Fd, Frame) || !serve::readFrame(Fd, Reply))
-      return std::nullopt;
-    Clock::time_point T2 = Clock::now();
-    auto Resp = serve::decodeQueryResponse(Reply);
-    EncodeS += secondsBetween(T0, T1);
-    DecodeS += secondsBetween(T2, Clock::now());
-    return Resp;
-  }
-
-  std::optional<serve::StatsResponse> stats() {
-    std::string Reply;
-    if (!serve::writeFrame(Fd, serve::encodeStatsRequest()) ||
-        !serve::readFrame(Fd, Reply))
-      return std::nullopt;
-    return serve::decodeStatsResponse(Reply);
-  }
-
-private:
-  int Fd = -1;
-};
-
 /// One closed-loop caller: waits for each reply before sending its next
 /// seeded batch. State persists across the run's serve slices.
 struct ServeClient {
+  /// A first-seen kernel's answer, checked once its slice has ended.
+  struct FreshAnswer {
+    size_t J; ///< freshKernel index.
+    serve::KernelAnswer Answer;
+  };
+
   unsigned Id;
   Rng R;
   bool Trace;
-  serve::Client Plain;
-  TracedConnection Traced;
-  std::vector<size_t> FreshNext;
+  serve::Client Conn;
+  std::vector<size_t> FreshNext;                  ///< Per profile.
+  std::vector<std::vector<FreshAnswer>> FreshGot; ///< Per profile.
   std::vector<double> LatencyUs;
   uint64_t Kernels = 0;
   double EncodeS = 0, DecodeS = 0, DispatchP50Us = 0;
@@ -898,18 +948,16 @@ struct ServeClient {
 
   ServeClient(unsigned Id, uint64_t Seed, bool Trace, size_t NumProfiles)
       : Id(Id), R(streamSeed(Seed, "client" + std::to_string(Id))),
-        Trace(Trace), FreshNext(NumProfiles, 0) {}
+        Trace(Trace), FreshNext(NumProfiles, 0), FreshGot(NumProfiles) {}
 
-  bool connect(const std::string &Socket) {
-    return Trace ? Traced.connect(Socket) : Plain.connect(Socket);
-  }
-
-  /// Sends batches until \p Deadline, checking every answer against the
-  /// batch engine's.
+  /// Sends batches until \p Deadline. Hot kernels' answers are checked
+  /// against the batch engine's at once; first-seen kernels' answers are
+  /// kept for checkFresh.
   void run(const std::vector<ProfileState> &Profiles, const ZipfTable &Zipf,
            Clock::time_point Deadline) {
-    std::vector<std::string> Batch;
-    std::vector<const serve::KernelAnswer *> Expected;
+    serve::QueryRequest Req;
+    std::vector<const serve::KernelAnswer *> Expected; ///< Null: fresh J.
+    std::vector<size_t> FreshJ;
     const double LogMaxBatch = std::log(257.0);
     while (!Broken && Clock::now() < Deadline) {
       size_t PI = R.uniformInt(Profiles.size());
@@ -918,52 +966,94 @@ struct ServeClient {
       size_t N = std::clamp<size_t>(
           static_cast<size_t>(std::exp(R.uniformReal() * LogMaxBatch)), 1,
           256);
-      Batch.clear();
+      Req.Machine = P.Name;
+      Req.Kernels.clear();
       Expected.clear();
-      const std::vector<std::string> &Fresh = P.FreshPools[Id];
+      FreshJ.clear();
       for (size_t I = 0; I < N; ++I) {
-        size_t &Next = FreshNext[PI];
-        if (R.chance(FreshShare) && Next < Fresh.size()) {
-          Batch.push_back(Fresh[Next]);
-          Expected.push_back(&P.FreshExpected[Id][Next]);
-          ++Next;
+        if (R.chance(FreshShare)) {
+          size_t J = FreshNext[PI]++;
+          Req.Kernels.push_back(
+              freshKernel(P.HotKernels, Id, J).str(P.Machine.isa()));
+          Expected.push_back(nullptr);
+          FreshJ.push_back(J);
         } else {
           size_t H = Zipf.draw(R) % P.HotPool.size();
-          Batch.push_back(P.HotPool[H]);
+          Req.Kernels.push_back(P.HotPool[H]);
           Expected.push_back(&P.HotExpected[H]);
         }
       }
       Clock::time_point T0 = Clock::now();
-      std::optional<serve::QueryResponse> Resp;
-      if (Trace) {
-        serve::QueryRequest Req;
-        Req.Machine = P.Name;
-        Req.Kernels = Batch;
-        Resp = Traced.query(std::move(Req), EncodeS, DecodeS);
-      } else {
-        Resp = Plain.query(P.Name, Batch);
-      }
+      std::optional<serve::QueryResponse> Resp =
+          Conn.query(Req.Machine, Req.Kernels);
       LatencyUs.push_back(
           std::chrono::duration<double, std::micro>(Clock::now() - T0)
               .count());
-      if (!TheLedger.check(Resp && Resp->Answers.size() == N,
-                           "served query failed")) {
+      if (!Resp) { // query() also fails on an answer count mismatch.
+        TheLedger.check(false, "served query failed: " + Conn.lastError());
         Broken = true;
         return;
       }
       Kernels += N;
       bool AllSame = true;
-      for (size_t I = 0; I < N; ++I)
-        AllSame &= sameAnswer(Resp->Answers[I], *Expected[I]);
+      for (size_t I = 0, F = 0; I < N; ++I) {
+        if (Expected[I])
+          AllSame &= sameAnswer(Resp->Answers[I], *Expected[I]);
+        else
+          FreshGot[PI].push_back({FreshJ[F++], Resp->Answers[I]});
+      }
       TheLedger.check(AllSame,
                       "served answer differs from the batch engine's answer");
+      if (Trace)
+        timeCodec(Req, *Resp);
+    }
+  }
+
+  /// Times the two protocol steps Client::query takes around its round
+  /// trip, on the request just served but outside its latency: encoding
+  /// the request and decoding the response's bytes (re-encoded, untimed).
+  void timeCodec(const serve::QueryRequest &Req,
+                 const serve::QueryResponse &Resp) {
+    Clock::time_point T0 = Clock::now();
+    std::string Frame = serve::encodeQueryRequest(Req);
+    Clock::time_point T1 = Clock::now();
+    std::string Reply = serve::encodeQueryResponse(Resp);
+    Clock::time_point T2 = Clock::now();
+    std::optional<serve::QueryResponse> Decoded =
+        serve::decodeQueryResponse(Reply);
+    Clock::time_point T3 = Clock::now();
+    EncodeS += secondsBetween(T0, T1);
+    DecodeS += secondsBetween(T2, T3);
+    TheLedger.check(!Frame.empty() && Decoded &&
+                        Decoded->Answers.size() == Resp.Answers.size(),
+                    "query response does not survive a codec round trip");
+  }
+
+  /// Checks the first-seen kernels' answers of the last slice against the
+  /// batch engine's, off the slice's clock.
+  void checkFresh(const std::vector<ProfileState> &Profiles) {
+    for (size_t PI = 0; PI < Profiles.size(); ++PI) {
+      std::vector<FreshAnswer> &Got = FreshGot[PI];
+      if (Got.empty())
+        continue;
+      const ProfileState &P = Profiles[PI];
+      std::vector<serve::KernelAnswer> Want =
+          engineAnswers(P, Got.size(), [&](size_t I) {
+            return freshKernel(P.HotKernels, Id, Got[I].J);
+          });
+      bool AllSame = true;
+      for (size_t I = 0; I < Got.size(); ++I)
+        AllSame &= sameAnswer(Got[I].Answer, Want[I]);
+      TheLedger.check(AllSame, "served answer for a first-seen kernel "
+                               "differs from the batch engine's answer");
+      Got.clear();
     }
   }
 
   /// Reads the server-side dispatch latency of this connection (decode +
   /// evaluate, no socket) from the server's own stats request.
   void readDispatchLatency() {
-    auto Stats = Trace ? Traced.stats() : Plain.stats();
+    auto Stats = Conn.stats();
     if (TheLedger.check(Stats.has_value(), "stats request failed"))
       for (const auto &[Name, Value] : Stats->Counters)
         if (Name == "conn.p50_us")
@@ -985,7 +1075,7 @@ public:
     for (unsigned C = 0; C < NumClients; ++C) {
       Clients.push_back(
           std::make_unique<ServeClient>(C, Seed, Trace, Profiles.size()));
-      TheLedger.check(Clients.back()->connect(SocketPath),
+      TheLedger.check(Clients.back()->Conn.connect(SocketPath),
                       "client cannot connect to the server");
     }
   }
@@ -1034,6 +1124,8 @@ public:
     SliceP99Us.push_back(percentile(Latency, 0.99));
     SliceKernelsPerS.push_back(
         static_cast<double>(Kernels - Kernels0) / secondsBetween(T0, T1));
+    for (auto &C : Clients)
+      C->checkFresh(Profiles);
   }
 
   /// Collects per-connection dispatch latencies; call once, at the end.
@@ -1107,9 +1199,11 @@ void writeMetrics(std::ostream &OS, const std::vector<Metric> &M) {
   OS << "}";
 }
 
-double peakRssMb() {
+/// Peak RSS of this process (RUSAGE_SELF) or of its largest finished map
+/// process (RUSAGE_CHILDREN).
+double peakRssMb(int Who) {
   rusage U{};
-  ::getrusage(RUSAGE_SELF, &U);
+  ::getrusage(Who, &U);
   return static_cast<double>(U.ru_maxrss) / 1024.0; // ru_maxrss is KiB.
 }
 
@@ -1126,6 +1220,10 @@ int usage() {
 int main(int Argc, char **Argv) {
   if (Argc != 6)
     return usage();
+  SelfPath = Argv[0];
+  if (std::string(Argv[1]) == "--map")
+    return mapProcess(Argv[2], static_cast<unsigned>(std::atoi(Argv[3])),
+                      std::string(Argv[4]) == "1", Argv[5]);
   const WorkloadSpec *Spec = nullptr;
   for (const WorkloadSpec &W : Workloads)
     if (std::string(Argv[1]) == W.Name)
@@ -1146,26 +1244,28 @@ int main(int Argc, char **Argv) {
   return 3;
 #endif
 
-  const unsigned Nproc = std::max(1u, std::thread::hardware_concurrency());
+  const unsigned Nproc =
+      allowedCpus().empty()
+          ? std::max(1u, std::thread::hardware_concurrency())
+          : static_cast<unsigned>(allowedCpus().size());
   const unsigned Workers = std::min(4u, Nproc);
   SpanLog Log(Trace);
   Executor Exec(Workers);
 
+  warmUp(Exec, 1.0);
+
   //--- Set-up 1: machines and seeded inputs. -----------------------------//
-  const double ServeEstimateS =
-      Spec->ServeSlice * (Seconds / Spec->CycleSeconds + MinCycles);
-  const size_t FreshPerClient = std::max<size_t>(
-      4096, static_cast<size_t>(FreshPerServeSecond * ServeEstimateS /
-                                Spec->Profiles.size()));
   std::vector<ProfileState> Profiles;
   std::vector<double> GenS;
-  for (int Rep = 0; Rep < SetupRepeats; ++Rep)
-    GenS.push_back(timed(Log, "eval.workload_gen", [&] {
-      Profiles = makeInputs(*Spec, Seed, FreshPerClient);
-    }));
+  for (int Rep = 0; Rep < SetupRepeats; ++Rep) {
+    std::vector<ProfileState> Made;
+    GenS.push_back(timed(Log, "eval.workload_gen",
+                         [&] { Made = makeInputs(*Spec, Seed); }));
+    Profiles = std::move(Made); // Frees the previous repeat's set, untimed.
+    releaseFreeMemory();
+  }
 
   //--- Cycle 0: the first cold map of every profile. ---------------------//
-  warmUp(Exec, 1.0);
   const Clock::time_point RunStart = Clock::now();
   MapSamples Maps;
   mapRound(Profiles, Workers, Trace, Log, Maps);
@@ -1231,16 +1331,10 @@ int main(int Argc, char **Argv) {
     TauSum += kendallTau(PredIpc, NatIpc);
   }
 
-  //--- Full cycles until --seconds have passed. -------------------------//
-  for (ProfileState &P : Profiles) {
+  //--- Full cycles: a fixed number per --seconds. ----------------------//
+  for (ProfileState &P : Profiles)
     P.HotExpected = engineAnswers(P, P.HotKernels.size(),
                                   [&](size_t I) { return P.HotKernels[I]; });
-    for (unsigned C = 0; C < NumClients; ++C)
-      P.FreshExpected.push_back(
-          engineAnswers(P, P.FreshPools[C].size(), [&](size_t J) {
-            return freshKernel(P.HotKernels, C, J);
-          }));
-  }
   PredictSamples Pred;
   std::optional<ServeHarness> Serve;
   try {
@@ -1251,16 +1345,26 @@ int main(int Argc, char **Argv) {
     return 1;
   }
   auto Probes = [&] {
-    for (int Pass = 0; Pass < Spec->CorpusPasses; ++Pass)
+    for (int Pass = 0; Pass < Spec->CorpusPasses; ++Pass) {
+      releaseFreeMemory();
       onNextCpu([&] { corpusPass(Profiles, Trace, Log, Pred); });
+    }
+    releaseFreeMemory();
     batchPasses(Profiles, Spec->BatchSlice, Log, Pred);
+    releaseFreeMemory();
     for (double Left = Spec->ServeSlice; Left > 1e-9; Left -= MaxServeSlice)
       Serve->slice(std::min(Left, MaxServeSlice), Log);
   };
-  for (int Cycle = 1;
-       Cycle <= MinCycles || secondsSince(RunStart) < Seconds; ++Cycle) {
+  const int Cycles =
+      std::max(MinCycles, static_cast<int>(
+                              std::lround(Seconds / Spec->SecondsPerCycle)));
+  int CyclesRun = 0;
+  while (CyclesRun < Cycles &&
+         (CyclesRun < MinCycles ||
+          secondsSince(RunStart) < MaxRunFactor * Seconds)) {
     Probes();
     mapRound(Profiles, Workers, Trace, Log, Maps);
+    ++CyclesRun;
   }
   Probes();
   Serve->finish();
@@ -1270,19 +1374,13 @@ int main(int Argc, char **Argv) {
   std::vector<double> DispatchP50;
   uint64_t ServedKernels = 0, Requests = 0;
   double EncodeS = 0, DecodeS = 0;
-  size_t FreshUsed = 0, FreshAvail = 0;
   for (const auto &C : Serve->Clients) {
     Requests += C->LatencyUs.size();
     DispatchP50.push_back(C->DispatchP50Us);
     ServedKernels += C->Kernels;
     EncodeS += C->EncodeS;
     DecodeS += C->DecodeS;
-    for (size_t Used : C->FreshNext)
-      FreshUsed += Used;
   }
-  for (const ProfileState &P : Profiles)
-    for (const auto &Pool : P.FreshPools)
-      FreshAvail += Pool.size();
   const serve::ServerTotals &T = Serve->Totals;
   TheLedger.check(T.Kernels == ServedKernels && T.Requests == Requests,
                   "server totals disagree with the requests the clients made");
@@ -1301,7 +1399,8 @@ int main(int Argc, char **Argv) {
   std::vector<Metric> E2E = {
       {"setup_s", median(GenS) + median(Setup2S), "s"},
       {"map_s", median(Maps.WallS), "s"},
-      {"peak_rss_mb", peakRssMb(), "MB"},
+      {"peak_rss_mb",
+       std::max(peakRssMb(RUSAGE_SELF), peakRssMb(RUSAGE_CHILDREN)), "MB"},
       {"pred_err_pct", ErrSum / NumProfiles, "%"},
       {"kendall_tau", TauSum / NumProfiles, "1"},
       {"corpus_blocks_per_s",
@@ -1375,8 +1474,6 @@ int main(int Argc, char **Argv) {
       {"serve.wire_p50_us", ServeP50 - DispatchP50Us, "us"},
       {"serve.encode_s", EncodeS, "s"},
       {"serve.decode_s", DecodeS, "s"},
-      {"serve.fresh_used_ratio", ratio(count(FreshUsed), count(FreshAvail)),
-       "ratio"},
       {"serve.mapping_load_s", median(LoadS), "s"},
       {"eval.workload_gen_s", median(GenS), "s"},
       {"support.workers", count(Workers), "count"},
@@ -1411,7 +1508,9 @@ int main(int Argc, char **Argv) {
      << ",\n  \"failures\": [";
   for (size_t I = 0; I < TheLedger.Messages.size(); ++I)
     OS << (I ? ", " : "") << "\"" << jsonEscape(TheLedger.Messages[I]) << "\"";
-  OS << "],\n  \"samples\": {\"map_s\": " << numList(Maps.WallS)
+  OS << "],\n  \"samples\": {\"cycles\": " << CyclesRun
+     << ", \"map_s\": " << numList(Maps.WallS) << ", \"rss_self_maps_mb\": "
+     << numList({peakRssMb(RUSAGE_SELF), peakRssMb(RUSAGE_CHILDREN)})
      << ", \"setup1_s\": " << numList(GenS)
      << ", \"setup2_s\": " << numList(Setup2S)
      << ", \"corpus_pass_s\": " << numList(Pred.CorpusPassS)
