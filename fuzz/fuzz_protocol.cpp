@@ -9,10 +9,12 @@
 // (peekType, the per-message decoders, batch evaluation against an
 // in-memory fig1 mapping, response encoding).
 //
-// Invariant checked beyond "no crash / no UB": every response the server
+// Invariants checked beyond "no crash / no UB": every response the server
 // emits must itself be a decodable response-type payload (the client-side
 // decoders accept it), so hostile requests can never make the server
-// produce an unparseable or request-typed frame.
+// produce an unparseable or request-typed frame; and every Ok answer
+// carries a finite IPC, so no kernel text can smuggle a non-finite value
+// into a prediction.
 //
 //===----------------------------------------------------------------------===//
 
@@ -21,6 +23,7 @@
 #include "serve/Protocol.h"
 #include "serve/Server.h"
 
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -66,10 +69,15 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t *Data, size_t Size) {
   if (!Type)
     __builtin_trap();
   switch (*Type) {
-  case MsgType::QueryResponse:
-    if (!decodeQueryResponse(Resp))
+  case MsgType::QueryResponse: {
+    auto Decoded = decodeQueryResponse(Resp);
+    if (!Decoded)
       __builtin_trap();
+    for (const KernelAnswer &A : Decoded->Answers)
+      if (A.S == KernelAnswer::Status::Ok && !std::isfinite(A.Ipc))
+        __builtin_trap();
     break;
+  }
   case MsgType::StatsResponse:
     if (!decodeStatsResponse(Resp))
       __builtin_trap();

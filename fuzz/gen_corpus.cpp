@@ -90,7 +90,11 @@ int main(int argc, char **argv) {
   QueryRequest Hostile;
   Hostile.Machine = "fig1";
   Hostile.Kernels = {"", "NO_SUCH_INSTR", "ADDSS^0", "ADDSS^inf",
-                     "ADDSS^nan", "^2", "ADDSS^-1"};
+                     "ADDSS^nan", "^2", "ADDSS^-1",
+                     // Finite terms whose merged multiplicity or |K|
+                     // overflows, and a NUL inside a multiplicity.
+                     "ADDSS^1e308 ADDSS^1e308", "ADDSS^1e308 VCVTT^1e308",
+                     std::string("ADDSS^2\0junk", 12)};
   writeFile(Root / "protocol" / "query_hostile_kernels.bin",
             encodeQueryRequest(Hostile));
   QueryRequest Unknown;

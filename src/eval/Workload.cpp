@@ -95,6 +95,7 @@ palmed::generateWorkload(const MachineModel &Machine,
   }
   assert(!Categories.empty() && "machine has no usable categories");
 
+  ZipfSampler Zipf(Config.NumBlocks, Config.ZipfExponent);
   std::vector<BasicBlock> Blocks;
   Blocks.reserve(Config.NumBlocks);
   while (Blocks.size() < Config.NumBlocks) {
@@ -136,8 +137,7 @@ palmed::generateWorkload(const MachineModel &Machine,
       continue;
     BasicBlock B;
     B.K = std::move(K);
-    B.Weight = 1.0 / static_cast<double>(
-                         R.zipf(Config.NumBlocks, Config.ZipfExponent));
+    B.Weight = 1.0 / static_cast<double>(Zipf.draw(R));
     Blocks.push_back(std::move(B));
   }
   return Blocks;

@@ -6,6 +6,8 @@
 
 #include "isa/InstructionSet.h"
 
+#include <algorithm>
+
 using namespace palmed;
 
 const char *palmed::categoryName(InstrCategory Cat) {
@@ -60,17 +62,53 @@ const char *palmed::extClassName(ExtClass Ext) {
   return "unknown";
 }
 
+namespace {
+
+/// 64-bit FNV-1a: fixed across platforms and runs, so the probe order,
+/// like everything else here, is deterministic.
+uint64_t hashName(std::string_view Name) {
+  uint64_t H = 0xcbf29ce484222325ULL;
+  for (char C : Name) {
+    H ^= static_cast<unsigned char>(C);
+    H *= 0x100000001b3ULL;
+  }
+  return H;
+}
+
+} // namespace
+
 InstrId InstructionSet::add(InstrInfo Info) {
-  assert(ByName.find(Info.Name) == ByName.end() && "duplicate name");
+  assert(findByName(Info.Name) == InvalidInstr && "duplicate name");
   InstrId Id = static_cast<InstrId>(Infos.size());
-  ByName.emplace(Info.Name, Id);
   Infos.push_back(std::move(Info));
+  if (2 * Infos.size() > Slots.size()) {
+    Slots.assign(std::max<size_t>(16, 2 * Slots.size()), InvalidInstr);
+    for (InstrId Old = 0; Old != Infos.size(); ++Old)
+      index(Old);
+  } else {
+    index(Id);
+  }
   return Id;
 }
 
-InstrId InstructionSet::findByName(const std::string &Name) const {
-  auto It = ByName.find(Name);
-  return It == ByName.end() ? InvalidInstr : It->second;
+void InstructionSet::index(InstrId Id) {
+  size_t Mask = Slots.size() - 1;
+  size_t S = static_cast<size_t>(hashName(Infos[Id].Name)) & Mask;
+  while (Slots[S] != InvalidInstr)
+    S = (S + 1) & Mask;
+  Slots[S] = Id;
+}
+
+InstrId InstructionSet::findByName(std::string_view Name) const {
+  if (Slots.empty())
+    return InvalidInstr;
+  size_t Mask = Slots.size() - 1;
+  for (size_t S = static_cast<size_t>(hashName(Name)) & Mask;;
+       S = (S + 1) & Mask) {
+    InstrId Id = Slots[S];
+    if (Id == InvalidInstr || Infos[Id].Name == Name)
+      return Id;
+  }
 }
 
 std::vector<InstrId> InstructionSet::allIds() const {

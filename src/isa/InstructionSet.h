@@ -16,12 +16,12 @@
 #include "isa/Instruction.h"
 
 #include <cassert>
-#include <map>
+#include <string_view>
 #include <vector>
 
 namespace palmed {
 
-/// Append-only instruction registry with name lookup.
+/// Append-only instruction registry with hashed name lookup.
 class InstructionSet {
 public:
   /// Registers \p Info; names must be unique.
@@ -36,15 +36,22 @@ public:
 
   const std::string &name(InstrId Id) const { return info(Id).Name; }
 
-  /// Returns the id for \p Name, or InvalidInstr if unknown.
-  InstrId findByName(const std::string &Name) const;
+  /// Returns the id for \p Name, or InvalidInstr if unknown. Never
+  /// allocates: kernel parsing probes it with views into the text.
+  InstrId findByName(std::string_view Name) const;
 
   /// All ids, in registration order.
   std::vector<InstrId> allIds() const;
 
 private:
+  /// Inserts \p Id into Slots (which has a free slot).
+  void index(InstrId Id);
+
   std::vector<InstrInfo> Infos;
-  std::map<std::string, InstrId> ByName;
+  /// Name index: open addressing with linear probing over a power-of-two
+  /// table of ids, InvalidInstr marking a free slot. The table is kept at
+  /// most half full, so every probe sequence reaches a free slot.
+  std::vector<InstrId> Slots;
 };
 
 } // namespace palmed

@@ -12,9 +12,10 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstddef>
 #include <cstdio>
 #include <cstdlib>
-#include <sstream>
+#include <string_view>
 
 using namespace palmed;
 
@@ -112,33 +113,91 @@ std::string Microkernel::str(const InstructionSet &Isa) const {
   return Out;
 }
 
+namespace {
+
+/// 1 if \p C separates tokens, else 0. The separators are the C locale's
+/// isspace set, which is what splitting on `std::istream >> std::string`
+/// used to give. The result is an integer, not a bool, so that the token
+/// count in parse() stays branch-free and vectorizes.
+unsigned isKernelSpace(char C) {
+  return static_cast<unsigned>(C == ' ') |
+         static_cast<unsigned>(static_cast<unsigned char>(C - '\t') <=
+                               '\r' - '\t');
+}
+
+/// Reads the multiplicity spelled by exactly the bytes [B, E). At most 15
+/// decimal digits are read as an integer, which is exact and equals what
+/// strtod returns for them; every other spelling goes to strtod, on a
+/// NUL-terminated copy so that strtod can neither skip leading whitespace
+/// nor read past the token, and a NUL inside the token fails the
+/// whole-token check. Returns false unless every byte is consumed.
+bool parseMultiplicity(const char *B, const char *E, double &Mult) {
+  constexpr ptrdiff_t MaxExactDigits = 15; // 10^15 < 2^53.
+  if (E - B <= MaxExactDigits) {
+    uint64_t V = 0;
+    const char *P = B;
+    for (; P != E && *P >= '0' && *P <= '9'; ++P)
+      V = V * 10 + static_cast<uint64_t>(*P - '0');
+    if (P == E && P != B) {
+      Mult = static_cast<double>(V);
+      return true;
+    }
+  }
+  std::string Copy(B, E);
+  char *End = nullptr;
+  Mult = std::strtod(Copy.c_str(), &End);
+  return !Copy.empty() && End == Copy.c_str() + Copy.size();
+}
+
+} // namespace
+
 std::optional<Microkernel> Microkernel::parse(const std::string &Text,
                                               const InstructionSet &Isa) {
+  // Size the terms by the token count: the bytes that start a token.
+  size_t NumTokens = !Text.empty() && !isKernelSpace(Text[0]);
+  for (size_t I = 1; I < Text.size(); ++I)
+    NumTokens += isKernelSpace(Text[I - 1]) & !isKernelSpace(Text[I]);
   Microkernel K;
-  std::istringstream IS(Text);
-  std::string Token;
-  while (IS >> Token) {
-    std::string Name = Token;
+  K.Terms.reserve(NumTokens);
+
+  const char *P = Text.data();
+  const char *const E = P + Text.size();
+  while (true) {
+    while (P != E && isKernelSpace(*P))
+      ++P;
+    if (P == E)
+      break;
+    const char *Name = P;
+    while (P != E && !isKernelSpace(*P) && *P != '^')
+      ++P;
+    const char *NameEnd = P;
     double Mult = 1.0;
-    size_t Caret = Token.find('^');
-    if (Caret != std::string::npos) {
-      Name = Token.substr(0, Caret);
-      std::string MultStr = Token.substr(Caret + 1);
-      char *End = nullptr;
-      Mult = std::strtod(MultStr.c_str(), &End);
+    if (P != E && *P == '^') {
+      const char *MultBegin = ++P;
+      while (P != E && !isKernelSpace(*P))
+        ++P;
       // !(Mult > 0.0) also rejects NaN, which compares false against
       // everything; kernel text arrives over the wire, so "^nan"/"^inf"
       // must not leak non-finite multiplicities into predictions.
-      if (End == MultStr.c_str() || *End != 0 || !std::isfinite(Mult) ||
+      if (!parseMultiplicity(MultBegin, P, Mult) || !std::isfinite(Mult) ||
           !(Mult > 0.0))
         return std::nullopt;
     }
-    InstrId Id = Isa.findByName(Name);
+    InstrId Id = Isa.findByName(
+        std::string_view(Name, static_cast<size_t>(NameEnd - Name)));
     if (Id == InvalidInstr)
       return std::nullopt;
-    K.add(Id, Mult);
+    // Text in str() order names ids ascending: append in place.
+    if (K.Terms.empty() || K.Terms.back().first < Id)
+      K.Terms.emplace_back(Id, Mult);
+    else
+      K.add(Id, Mult);
   }
-  if (K.empty())
+  // Each multiplicity is finite, but repeated names merge by addition and
+  // |K| sums every term, so either can overflow to inf (and the IPC to inf
+  // or NaN). An infinite term makes |K| infinite, so one check on size(),
+  // the very sum KernelBatch stores for the kernel, rejects both.
+  if (K.empty() || !std::isfinite(K.size()))
     return std::nullopt;
   return K;
 }

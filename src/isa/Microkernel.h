@@ -76,9 +76,11 @@ public:
   /// Canonical text form, e.g. "ADDSS^2 BSR", for cache keys and debugging.
   std::string str(const InstructionSet &Isa) const;
 
-  /// Parses the str() format back ("NAME[^MULT] NAME[^MULT] ...";
-  /// multiplicities may be fractional). Returns nullopt on syntax errors or
-  /// unknown instruction names.
+  /// Parses the str() format back: tokens "NAME" or "NAME^MULT" separated
+  /// by ' ', '\t', '\n', '\v', '\f' or '\r'. MULT (e.g. "2", "0.5",
+  /// "1e1") must be read whole by strtod and be finite and > 0; repeated
+  /// names add up. Returns nullopt on syntax errors, unknown names, an
+  /// empty kernel, or when a merged multiplicity or |K| overflows.
   static std::optional<Microkernel> parse(const std::string &Text,
                                           const InstructionSet &Isa);
 

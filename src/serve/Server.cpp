@@ -68,37 +68,32 @@ ServerTotals Server::totals() const {
 
 std::vector<Prediction>
 Server::predictDistinct(ServedMachine &M,
-                        const std::vector<const std::string *> &Distinct,
-                        bool UseExecutor) {
+                        const std::vector<const std::string *> &Distinct) {
   const size_t N = Distinct.size();
 
-  // Parse fan-out, index-slotted (Microkernel::parse is a pure function
-  // of the text and the immutable ISA).
-  std::vector<std::optional<Microkernel>> Parsed(N);
-  auto ParseOne = [&](size_t I, unsigned) {
-    Parsed[I] = Microkernel::parse(*Distinct[I], M.Machine.isa());
-  };
-  if (UseExecutor) {
-    Exec.parallelFor(N, ParseOne);
-  } else {
-    for (size_t I = 0; I < N; ++I)
-      ParseOne(I, 0);
-  }
-
-  // One detailed batch pass over the compiled mapping for everything
-  // that parsed; parse failures keep an invalid batch index.
+  // Parse inline into one batch: a parse takes well under a microsecond,
+  // less than waking the executor's workers to share it out. Parse
+  // failures keep an invalid batch index.
   constexpr size_t NoKernel = static_cast<size_t>(-1);
   predict::KernelBatch B;
   B.reserve(N, N * 4);
   std::vector<size_t> BatchIndex(N, NoKernel);
   for (size_t I = 0; I < N; ++I)
-    if (Parsed[I])
-      BatchIndex[I] = B.add(*Parsed[I]);
+    if (auto K = Microkernel::parse(*Distinct[I], M.Machine.isa()))
+      BatchIndex[I] = B.add(*K);
+
+  // One detailed batch pass over the compiled mapping. Eps matches
+  // analyzeKernel's default co-bottleneck tie tolerance, so query answers
+  // report the same bottleneck sets the analyze CLI shows.
   std::vector<predict::KernelDetail> Details(B.size());
-  // Eps matches analyzeKernel's default co-bottleneck tie tolerance, so
-  // query answers report the same bottleneck sets the analyze CLI shows.
-  predict::predictDetailedBatch(M.Compiled, B, /*Eps=*/0.05, Details.data(),
-                                UseExecutor ? &Exec : nullptr);
+  {
+    const bool UseExec = B.size() > 1 && Exec.numWorkers() > 1;
+    std::unique_lock<std::mutex> Lock;
+    if (UseExec)
+      Lock = std::unique_lock<std::mutex>(ExecMutex);
+    predict::predictDetailedBatch(M.Compiled, B, /*Eps=*/0.05,
+                                  Details.data(), UseExec ? &Exec : nullptr);
+  }
 
   // Serial encode: pre-build each answer's wire record once; cache hits
   // later just append the bytes.
@@ -178,25 +173,16 @@ std::optional<std::string> Server::evaluateWire(const QueryRequest &Request,
       ++It->second;
     }
     std::vector<char> WasHit(Distinct.size(), 0);
-    {
-      const bool UseExec = Distinct.size() > 1 && Exec.numWorkers() > 1;
-      // The executor is single-driver: hold the mutex across both of
-      // predictDistinct's fan-outs (parse + batch predict).
-      std::unique_lock<std::mutex> Lock;
-      if (UseExec)
-        Lock = std::unique_lock<std::mutex>(ExecMutex);
-      std::vector<Prediction> Computed =
-          predictDistinct(*M, Distinct, UseExec);
-      for (size_t I = 0; I < Distinct.size(); ++I) {
-        // getOrCompute publishes the precomputed answer; if another
-        // connection raced us to the same kernel we merely discard a
-        // duplicate of the same deterministic result (WasHit reports it
-        // as a hit, exactly as before).
-        bool H = false;
-        M->Cache->getOrCompute(
-            *Distinct[I], [&] { return std::move(Computed[I]); }, &H);
-        WasHit[I] = H ? 1 : 0;
-      }
+    std::vector<Prediction> Computed = predictDistinct(*M, Distinct);
+    for (size_t I = 0; I < Distinct.size(); ++I) {
+      // getOrCompute publishes the precomputed answer; if another
+      // connection raced us to the same kernel we merely discard a
+      // duplicate of the same deterministic result (WasHit reports it as
+      // a hit, exactly as before).
+      bool H = false;
+      M->Cache->getOrCompute(
+          *Distinct[I], [&] { return std::move(Computed[I]); }, &H);
+      WasHit[I] = H ? 1 : 0;
     }
     for (size_t D = 0; D < Distinct.size(); ++D) {
       uint64_t Occ = Count[std::string_view(*Distinct[D])];

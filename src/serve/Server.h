@@ -14,13 +14,14 @@
 /// and spawns one handler thread per connection. Batch evaluation runs
 /// the distinct cache-missing kernels of a request through the batch
 /// prediction engine (predict/BatchEngine.h) against a per-machine
-/// CompiledMapping: a parse fan-out, then one detailed batch pass, both
-/// fanned over one shared palmed::Executor (serialized by a mutex held
-/// across both fans — the executor is single-driver by contract); cache
-/// hits never touch the executor. Each served machine fronts its mapping
-/// with a PredictionCache; results are inserted via getOrCompute, so a
-/// concurrent connection racing on the same kernel at worst duplicates
-/// deterministic work and still observes one canonical entry.
+/// CompiledMapping: each distinct miss is parsed inline, on the
+/// connection's thread, straight into one KernelBatch, then one detailed
+/// batch pass fans over a shared palmed::Executor (serialized by a mutex —
+/// the executor is single-driver by contract); cache hits never touch the
+/// executor. Each served machine fronts its mapping with a
+/// PredictionCache; results are inserted via getOrCompute, so a concurrent
+/// connection racing on the same kernel at worst duplicates deterministic
+/// work and still observes one canonical entry.
 ///
 /// Lifecycle: addMachine() while stopped, bind(), then serve() until
 /// requestStop() — which is async-signal-safe (it only stores a flag), so
@@ -185,15 +186,14 @@ private:
   ServedMachine *findMachine(const std::string &Name);
 
   /// Predicts the distinct cache-missing kernel texts of one request in
-  /// one batch: parse fan-out, one predictDetailedBatch pass over the
-  /// compiled mapping, then serial wire encoding. Returns one finished
-  /// Prediction per input (parse failures and unsupported kernels
-  /// included). When \p UseExecutor is set the caller must hold ExecMutex
-  /// for the whole call — both internal fans drive the shared executor.
+  /// one batch: an inline parse of each text into the batch, one
+  /// predictDetailedBatch pass over the compiled mapping (on the shared
+  /// executor, under ExecMutex, when the batch holds two or more kernels),
+  /// then serial wire encoding. Returns one finished Prediction per input
+  /// (parse failures and unsupported kernels included).
   std::vector<Prediction>
   predictDistinct(ServedMachine &M,
-                  const std::vector<const std::string *> &Distinct,
-                  bool UseExecutor);
+                  const std::vector<const std::string *> &Distinct);
 
   void handleConnection(Connection &Conn);
   void reapFinishedConnections();

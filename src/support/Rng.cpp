@@ -6,6 +6,7 @@
 
 #include "support/Rng.h"
 
+#include <algorithm>
 #include <cmath>
 
 using namespace palmed;
@@ -92,22 +93,6 @@ double Rng::normal(double Mean, double StdDev) {
   return Mean + StdDev * normal();
 }
 
-uint64_t Rng::zipf(uint64_t N, double S) {
-  assert(N > 0 && "zipf over empty support");
-  // Inverse CDF by linear scan; N is small (ranks of generated blocks).
-  double Norm = 0.0;
-  for (uint64_t K = 1; K <= N; ++K)
-    Norm += 1.0 / std::pow(static_cast<double>(K), S);
-  double U = uniformReal() * Norm;
-  double Acc = 0.0;
-  for (uint64_t K = 1; K <= N; ++K) {
-    Acc += 1.0 / std::pow(static_cast<double>(K), S);
-    if (U <= Acc)
-      return K;
-  }
-  return N;
-}
-
 size_t Rng::pickWeighted(const std::vector<double> &Weights) {
   double Total = 0.0;
   for (double W : Weights) {
@@ -126,3 +111,19 @@ size_t Rng::pickWeighted(const std::vector<double> &Weights) {
 }
 
 Rng Rng::fork() { return Rng(next()); }
+
+ZipfSampler::ZipfSampler(uint64_t N, double S) : Acc(N) {
+  double Sum = 0.0;
+  for (uint64_t K = 1; K <= N; ++K)
+    Acc[K - 1] = Sum += 1.0 / std::pow(static_cast<double>(K), S);
+}
+
+uint64_t ZipfSampler::draw(Rng &R) const {
+  assert(!Acc.empty() && "zipf over empty support");
+  double U = R.uniformReal() * Acc.back();
+  // The sums never decrease, so this is the first K with U <= Acc[K].
+  auto It = std::lower_bound(Acc.begin(), Acc.end(), U);
+  if (It == Acc.end())
+    return Acc.size();
+  return static_cast<uint64_t>(It - Acc.begin()) + 1;
+}

@@ -51,10 +51,6 @@ public:
   /// Normal variate with the given mean and standard deviation.
   double normal(double Mean, double StdDev);
 
-  /// Zipf-distributed rank in [1, N] with exponent \p S (inverse-CDF over a
-  /// precomputable small N; used for basic-block frequency weights).
-  uint64_t zipf(uint64_t N, double S);
-
   /// Bernoulli trial with probability \p P.
   bool chance(double P) { return uniformReal() < P; }
 
@@ -77,6 +73,23 @@ private:
   uint64_t State[4];
   bool HasSpareNormal = false;
   double SpareNormal = 0.0;
+};
+
+/// Zipf law over the ranks [1, N] with exponent S, P(k) ~ 1/k^S, drawn by
+/// inverse CDF (used for basic-block frequency weights). The running sums
+/// of 1/k^S are built once; a draw consumes one Rng::uniformReal and
+/// binary-searches them in O(log N).
+class ZipfSampler {
+public:
+  ZipfSampler(uint64_t N, double S);
+
+  /// The first rank K with U <= Acc[K], where U = R.uniformReal() * Acc[N]
+  /// and Acc[K] = 1/1^S + ... + 1/K^S summed in rank order; N if rounding
+  /// leaves U above every sum.
+  uint64_t draw(Rng &R) const;
+
+private:
+  std::vector<double> Acc; ///< Acc[K - 1] for ranks K = 1..N.
 };
 
 } // namespace palmed

@@ -26,6 +26,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -536,6 +537,60 @@ TEST(ServeServer, BatchDedupesWithinRequest) {
   EXPECT_EQ(Hits, 99u);
   for (const KernelAnswer &A : R.Answers)
     EXPECT_TRUE(sameBits(A.Ipc, R.Answers[0].Ipc));
+}
+
+namespace {
+
+/// Answers of one query request dispatched as raw frame bytes, the path a
+/// connection handler runs; fig1 is served with \p Threads workers.
+std::vector<KernelAnswer> dispatchQuery(const std::vector<std::string> &Texts,
+                                        unsigned Threads = 2) {
+  ServerConfig C;
+  C.SocketPath = "/unused-never-bound";
+  C.NumThreads = Threads;
+  Server S(C);
+  MachineModel M = makeFig1Machine();
+  ResourceMapping Mapping = buildDualMapping(M);
+  S.addMachine("fig1", std::move(M), std::move(Mapping));
+  Server::ConnectionState Conn;
+  QueryRequest Req;
+  Req.Machine = "fig1";
+  Req.Kernels = Texts;
+  auto Resp = decodeQueryResponse(S.dispatchPayload(encodeQueryRequest(Req),
+                                                    Conn));
+  EXPECT_TRUE(Resp);
+  return Resp ? Resp->Answers : std::vector<KernelAnswer>{};
+}
+
+} // namespace
+
+TEST(ServeServer, RejectsOverflowingKernelSumRegression) {
+  // Every multiplicity was finite, so these parsed; the merged ADDSS
+  // multiplicity was served as Ok with IPC NaN, the infinite |K| of the
+  // second kernel as Ok with IPC inf.
+  std::vector<KernelAnswer> A = dispatchQuery(
+      {"ADDSS^1e308 ADDSS^1e308", "ADDSS^1e308 VCVTT^1e308", "ADDSS^2"});
+  ASSERT_EQ(A.size(), 3u);
+  EXPECT_EQ(A[0].S, KernelAnswer::Status::ParseError);
+  EXPECT_EQ(A[1].S, KernelAnswer::Status::ParseError);
+  EXPECT_EQ(A[2].S, KernelAnswer::Status::Ok);
+  EXPECT_TRUE(std::isfinite(A[2].Ipc));
+}
+
+TEST(ServeServer, RejectsNulInMultiplicityRegression) {
+  // strtod stopped at the NUL, so the 12-byte text below was answered
+  // (and cached) as ADDSS^2. It is a parse error, alone or in a batch.
+  const std::string Nul("ADDSS^2\0junk", 12);
+  for (unsigned Threads : {1u, 2u}) {
+    std::vector<KernelAnswer> A = dispatchQuery({Nul}, Threads);
+    ASSERT_EQ(A.size(), 1u);
+    EXPECT_EQ(A[0].S, KernelAnswer::Status::ParseError);
+    A = dispatchQuery({"ADDSS^2", Nul, "BSR"}, Threads);
+    ASSERT_EQ(A.size(), 3u);
+    EXPECT_EQ(A[0].S, KernelAnswer::Status::Ok);
+    EXPECT_EQ(A[1].S, KernelAnswer::Status::ParseError);
+    EXPECT_EQ(A[2].S, KernelAnswer::Status::Ok);
+  }
 }
 
 TEST(ServeServer, DuplicateMachineNameThrows) {

@@ -371,15 +371,46 @@ TEST(Rng, PickWeightedRespectsWeights) {
 
 TEST(Rng, ZipfFavoursLowRanks) {
   Rng R(17);
+  ZipfSampler Zipf(100, 1.2);
   int First = 0, Last = 0;
   for (int I = 0; I < 5000; ++I) {
-    uint64_t K = R.zipf(100, 1.2);
+    uint64_t K = Zipf.draw(R);
     EXPECT_GE(K, 1u);
     EXPECT_LE(K, 100u);
     First += K == 1;
     Last += K == 100;
   }
   EXPECT_GT(First, Last * 10);
+}
+
+TEST(Rng, ZipfSamplerMatchesLinearScan) {
+  // The inverse-CDF linear scan ZipfSampler replaced: it renormalizes and
+  // rescans the support on every draw. Ranks and RNG consumption must stay
+  // bit-identical, since every seeded workload depends on both.
+  auto LinearZipf = [](Rng &R, uint64_t N, double S) -> uint64_t {
+    double Norm = 0.0;
+    for (uint64_t K = 1; K <= N; ++K)
+      Norm += 1.0 / std::pow(static_cast<double>(K), S);
+    double U = R.uniformReal() * Norm;
+    double Acc = 0.0;
+    for (uint64_t K = 1; K <= N; ++K) {
+      Acc += 1.0 / std::pow(static_cast<double>(K), S);
+      if (U <= Acc)
+        return K;
+    }
+    return N;
+  };
+  for (uint64_t N : {1u, 2u, 3u, 64u, 1000u}) {
+    for (double S : {0.0, 0.5, 1.1, 2.0, 8.0}) {
+      ZipfSampler Zipf(N, S);
+      Rng Fast(N * 31 + static_cast<uint64_t>(S * 10));
+      Rng Slow = Fast;
+      for (int I = 0; I < 2000; ++I)
+        ASSERT_EQ(Zipf.draw(Fast), LinearZipf(Slow, N, S))
+            << "N=" << N << " S=" << S << " draw " << I;
+      EXPECT_EQ(Fast.next(), Slow.next()) << "N=" << N << " S=" << S;
+    }
+  }
 }
 
 // ------------------------------------------------------------------ Fraction
