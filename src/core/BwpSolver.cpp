@@ -427,28 +427,11 @@ private:
             for (size_t I = 0; I < RVars.size(); ++I)
               Obj.add(static_cast<lp::VarId>(I), TieBreak);
             M.setObjective(std::move(Obj), lp::Goal::Maximize);
-            // Warm-start plumbing: seed from the last basis exported for
-            // this constraint skeleton and export this solve's final
-            // basis back. The compat solver ignores the seed (its pivot
-            // arithmetic is pinned — automatic cold fallback), so this
-            // only changes work, never values, for any solver mode.
-            const lp::SimplexBasis *Warm = nullptr;
-            lp::SimplexBasis Final;
-            if (Opts.Cache) {
-              const lp::StructuralDigest::Value SK = SkelDigest[R].value();
-              Warm = Sink->findBasis(SK);
-              if (!Warm && Shared)
-                Warm = Shared->findBasis(SK);
-            }
-            lp::Solution Sol =
-                lp::solveLp(M, {}, compatLpOptions(), Warm,
-                            Opts.Cache ? &Final : nullptr);
+            lp::Solution Sol = lp::solveLp(M, {}, compatLpOptions());
             if (Sol.Status != lp::SolveStatus::Optimal)
               return false;
             PrevObj[R] = PinnedObj.terms();
             HasPrev[R] = 1;
-            if (Opts.Cache && !Final.empty())
-              Sink->storeBasis(SkelDigest[R].value(), Final);
             if (!VarScales.empty()) {
               // Balancing pass: the measured kernels often leave the
               // split of a resource's capacity between instructions
@@ -701,32 +684,13 @@ void BwpSubproblemCache::insert(const lp::StructuralDigest::Value &D,
   Entries.try_emplace(D, std::move(E));
 }
 
-const lp::SimplexBasis *
-BwpSubproblemCache::findBasis(const lp::StructuralDigest::Value &Skeleton) const {
-  auto It = Bases.find(Skeleton);
-  return It == Bases.end() ? nullptr : &It->second;
-}
-
-void BwpSubproblemCache::storeBasis(const lp::StructuralDigest::Value &Skeleton,
-                                    const lp::SimplexBasis &Basis) {
-  if (Bases.size() >= MaxEntries)
-    Bases.clear();
-  Bases[Skeleton] = Basis;
-}
-
 void BwpSubproblemCache::merge(BwpSubproblemCache &&Other) {
   for (auto &[D, E] : Other.Entries)
     insert(D, std::move(E));
-  for (auto &[D, B] : Other.Bases)
-    storeBasis(D, B);
   Other.Entries.clear();
-  Other.Bases.clear();
 }
 
-void BwpSubproblemCache::clear() {
-  Entries.clear();
-  Bases.clear();
-}
+void BwpSubproblemCache::clear() { Entries.clear(); }
 
 CoreWeights palmed::solveCoreWeights(const MappingShape &Shape,
                                      const std::map<InstrId, size_t> &IndexOf,

@@ -48,13 +48,9 @@ enum class BwpMode { Pinned, ExactMilp };
 /// tie-break and pinned objective, all by coefficient bit pattern, never
 /// by pointer identity (determinism lint). An exact hit replays the
 /// stored solution verbatim, which is bit-identical to re-solving because
-/// the compat solver is deterministic, and skips the LPs entirely. A
-/// second, rows-only ("skeleton") index carries the last exported simplex
-/// basis per constraint skeleton, used to warm-start structure-identical
-/// solves under a fresh objective; compat-pinned call sites ignore the
-/// seed (cold fallback) so their pivot arithmetic stays exact.
-/// Both indices are ordered maps: lookups, inserts, and merges are
-/// deterministic regardless of thread count.
+/// the compat solver is deterministic, and skips the LPs entirely. The
+/// index is an ordered map: lookups, inserts, and merges are deterministic
+/// regardless of thread count.
 class BwpSubproblemCache {
 public:
   struct Entry {
@@ -66,11 +62,6 @@ public:
   const Entry *find(const lp::StructuralDigest::Value &D) const;
   /// First insert wins; entries are immutable once published.
   void insert(const lp::StructuralDigest::Value &D, Entry E);
-
-  const lp::SimplexBasis *
-  findBasis(const lp::StructuralDigest::Value &Skeleton) const;
-  void storeBasis(const lp::StructuralDigest::Value &Skeleton,
-                  const lp::SimplexBasis &Basis);
 
   /// Deterministically folds \p Other in (first insert wins). Used to
   /// publish per-component caches in component-index order after a
@@ -87,7 +78,6 @@ private:
   static constexpr size_t MaxEntries = 1u << 20;
 
   std::map<lp::StructuralDigest::Value, Entry> Entries;
-  std::map<lp::StructuralDigest::Value, lp::SimplexBasis> Bases;
 };
 
 /// Outputs of one pinned solve, for stats plumbing.
@@ -106,7 +96,7 @@ struct BwpSolveStats {
 struct BwpSolveOptions {
   /// Fan target for per-component solves; null solves components inline.
   Executor *Exec = nullptr;
-  /// Cross-call block memo + skeleton basis store; null disables both.
+  /// Cross-call block memo; null disables it.
   /// During a fan-out each component probes the shared cache read-only
   /// plus a component-local overlay, and overlays merge in component
   /// order afterwards — hit patterns are scheduling-independent.

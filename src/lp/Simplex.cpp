@@ -61,8 +61,6 @@ public:
   std::vector<double> Data; ///< NumRows x NumCols, row-major.
   std::vector<double> Rhs;
   std::vector<double> Cost;  ///< Reduced costs of the current phase.
-  double CostRhs = 0.0; ///< Compat mode only: the cost row's rhs entry
-                        ///< (-objective), swept like the historical code.
   std::vector<double> Upper; ///< Shifted upper bound (Infinity if none).
   std::vector<ColStatus> Status;
   std::vector<int> Basis;     ///< Per row: physical basic column.
@@ -103,19 +101,12 @@ public:
 
 /// Builds the tableau for \p M under effective bounds Lo/Hi. The initial
 /// basis is the slack of every row whose (sign-normalized) slack coefficient
-/// is +1, and an artificial elsewhere. With \p ExplicitBounds (compat mode)
-/// every finite upper bound becomes one extra LE row, exactly like the
-/// historical solver, and the implicit-bound machinery stays inert.
+/// is +1, and an artificial elsewhere. Finite upper bounds stay implicit in
+/// Upper (nonbasic-at-upper statuses and bound flips), never rows.
 void buildTableau(Tableau &T, const Model &M, const std::vector<double> &Lo,
-                  const std::vector<double> &Hi, bool ExplicitBounds) {
+                  const std::vector<double> &Hi) {
   const size_t NumVars = M.numVars();
-  const size_t NumCons = M.numConstraints();
-  std::vector<size_t> UbVars;
-  if (ExplicitBounds)
-    for (size_t V = 0; V < NumVars; ++V)
-      if (std::isfinite(Hi[V]))
-        UbVars.push_back(V);
-  const size_t NumRows = NumCons + UbVars.size();
+  const size_t NumRows = M.numConstraints();
   T.NumRows = NumRows;
   T.NumVars = NumVars;
 
@@ -128,28 +119,19 @@ void buildTableau(Tableau &T, const Model &M, const std::vector<double> &Lo,
 
   size_t NumSlack = 0;
   for (size_t R = 0; R < NumRows; ++R) {
-    double Rhs;
-    Sense Dir;
-    if (R < NumCons) {
-      const Constraint &C = M.constraints()[R];
-      double Shift = 0.0;
-      for (const auto &[Var, Coeff] : C.Expr.terms())
-        Shift += Coeff * Lo[static_cast<size_t>(Var)];
-      Rhs = C.Rhs - Shift;
-      Dir = C.Dir;
-    } else {
-      size_t V = UbVars[R - NumCons];
-      Rhs = Hi[V] - Lo[V];
-      Dir = Sense::LE;
-    }
+    const Constraint &C = M.constraints()[R];
+    double Shift = 0.0;
+    for (const auto &[Var, Coeff] : C.Expr.terms())
+      Shift += Coeff * Lo[static_cast<size_t>(Var)];
+    double Rhs = C.Rhs - Shift;
     if (Rhs < 0.0) {
       Rhs = -Rhs;
       RowSign[R] = -1.0;
     }
     EffRhs[R] = Rhs;
-    if (Dir != Sense::EQ) {
+    if (C.Dir != Sense::EQ) {
       ++NumSlack;
-      SlackCoeff[R] = RowSign[R] * (Dir == Sense::LE ? 1.0 : -1.0);
+      SlackCoeff[R] = RowSign[R] * (C.Dir == Sense::LE ? 1.0 : -1.0);
     }
     NeedArt[R] = SlackCoeff[R] != 1.0;
   }
@@ -182,20 +164,14 @@ void buildTableau(Tableau &T, const Model &M, const std::vector<double> &Lo,
   T.Status.assign(T.NumCols, ColStatus::AtLower);
   T.Basis.assign(NumRows, -1);
   T.RowOfPhys.assign(T.NumCols, -1);
-  T.CostRhs = 0.0;
 
-  if (!ExplicitBounds)
-    for (size_t V = 0; V < NumVars; ++V)
-      T.Upper[V] = std::isfinite(Hi[V]) ? Hi[V] - Lo[V] : Infinity;
+  for (size_t V = 0; V < NumVars; ++V)
+    T.Upper[V] = std::isfinite(Hi[V]) ? Hi[V] - Lo[V] : Infinity;
 
   for (size_t R = 0; R < NumRows; ++R) {
-    if (R < NumCons) {
-      const Constraint &C = M.constraints()[R];
-      for (const auto &[Var, Coeff] : C.Expr.terms())
-        T.at(R, static_cast<size_t>(Var)) += RowSign[R] * Coeff;
-    } else {
-      T.at(R, UbVars[R - NumCons]) = RowSign[R];
-    }
+    const Constraint &C = M.constraints()[R];
+    for (const auto &[Var, Coeff] : C.Expr.terms())
+      T.at(R, static_cast<size_t>(Var)) += RowSign[R] * Coeff;
     T.Rhs[R] = EffRhs[R];
     if (T.SlackPhysOfRow[R] >= 0) {
       size_t S = static_cast<size_t>(T.SlackPhysOfRow[R]);
@@ -220,29 +196,38 @@ enum class PhaseResult { Optimal, Unbounded, IterLimit, Infeasible };
 
 /// Column-compressed compat tableau. Palmed's compat-mode LPs are extreme
 /// in one dimension: the core BWP subproblems have thousands of capacity
-/// rows but only a few dozen structural variables, so a dense
-/// NumRows x NumCols tableau is ~99% slack/artificial columns that never
-/// leave their initial single-diagonal state (an unpromoted column is
-/// touched by an elimination only when its own row is the pivot row). This
-/// tableau stores structural columns densely (column-major, one slot per
-/// column) and keeps each slack/artificial column *implicit* — just its
-/// diagonal coefficient — until its row first pivots, at which point the
-/// column is promoted to a real slot. All bookkeeping (Cost, Status, Basis,
-/// physical column numbering) matches the dense compat tableau exactly, so
-/// pivot selection and pivot arithmetic are value-for-value identical; only
-/// the storage of never-touched zeros changed.
+/// rows but only a few dozen structural variables, so nearly every column
+/// of a dense NumRows x NumCols tableau has a single nonzero. This tableau
+/// stores a column densely (column-major, in a slot) only while it may have
+/// more than one; every other column is *implicit*: value ImplicitVal in
+/// row ImplicitRow, zero elsewhere. Slack and artificial columns start
+/// implicit (their diagonal), structural columns start stored. Only two
+/// events give a column a second nonzero, and both store it: entering the
+/// basis, and a pivot in the row of its nonzero. A pivot leaves its
+/// entering column exactly the unit column of the pivot row, so that slot
+/// goes back on the free list at once. Basic columns are therefore always
+/// implicit, and the stored columns are the few dozen nonbasic ones that
+/// some pivot has touched. All bookkeeping (Cost, Status, Basis, physical
+/// column numbering) matches the dense compat tableau exactly, so pivot
+/// selection and pivot arithmetic are value-for-value identical; only the
+/// storage of zeros changed.
 class CompatTableau {
 public:
+  /// PhysOfSlot entry of a slot on the free list. It exceeds every column
+  /// bound, so the `>= SweepEnd` tests that skip dead columns skip it too.
+  static constexpr uint32_t FreeSlot = UINT32_MAX;
+
   size_t NumRows = 0;
   size_t NumVars = 0;
   size_t ArtStart = 0;
   size_t NumCols = 0;
-  size_t NumSlots = 0;
 
   std::vector<double> Cols; ///< Slot-major: slot * NumRows + row.
-  std::vector<int> SlotOfPhys;       ///< Physical col -> slot, -1 implicit.
-  std::vector<uint32_t> PhysOfSlot;
-  std::vector<double> DiagOfPhys; ///< Implicit slack/art diagonal value.
+  std::vector<int> SlotOfPhys;      ///< Physical col -> slot, -1 implicit.
+  std::vector<uint32_t> PhysOfSlot; ///< Slot -> physical col, or FreeSlot.
+  std::vector<uint32_t> FreeSlots;
+  std::vector<int> ImplicitRow;   ///< Implicit column: row of its nonzero.
+  std::vector<double> ImplicitVal; ///< Implicit column: that nonzero.
   std::vector<double> Rhs;
   std::vector<double> Cost;
   double CostRhs = 0.0;
@@ -251,27 +236,42 @@ public:
 
   std::vector<int> SlackPhysOfRow;
   std::vector<int> ArtPhysOfRow;
-  std::vector<int> RowOfPhys;
+  std::vector<int> RowOfPhys; ///< For cols >= NumVars: owning row.
 
   double *col(size_t S) { return &Cols[S * NumRows]; }
-  const double *col(size_t S) const { return &Cols[S * NumRows]; }
   double at(size_t R, size_t C) const {
     int S = SlotOfPhys[C];
     if (S >= 0)
       return Cols[static_cast<size_t>(S) * NumRows + R];
-    return RowOfPhys[C] == static_cast<int>(R) ? DiagOfPhys[C] : 0.0;
+    return ImplicitRow[C] == static_cast<int>(R) ? ImplicitVal[C] : 0.0;
   }
-  /// Materializes an implicit column into a dense slot. Until its owning
-  /// row pivots, an implicit column's only nonzero is its untouched initial
-  /// diagonal, so the promoted slot reproduces the exact dense contents.
-  size_t promote(size_t C) {
-    size_t S = NumSlots++;
-    Cols.resize(NumSlots * NumRows, 0.0);
-    if (RowOfPhys[C] >= 0)
-      Cols[S * NumRows + static_cast<size_t>(RowOfPhys[C])] = DiagOfPhys[C];
+  /// Gives implicit column \p C a slot holding its exact dense contents.
+  size_t store(size_t C) {
+    size_t S;
+    if (FreeSlots.empty()) {
+      S = PhysOfSlot.size();
+      PhysOfSlot.push_back(static_cast<uint32_t>(C));
+      Cols.resize(PhysOfSlot.size() * NumRows);
+    } else {
+      S = FreeSlots.back();
+      FreeSlots.pop_back();
+      PhysOfSlot[S] = static_cast<uint32_t>(C);
+    }
+    double *Col = col(S);
+    std::fill(Col, Col + NumRows, 0.0);
+    Col[static_cast<size_t>(ImplicitRow[C])] = ImplicitVal[C];
     SlotOfPhys[C] = static_cast<int>(S);
-    PhysOfSlot.push_back(static_cast<uint32_t>(C));
     return S;
+  }
+  /// Frees the slot of \p C, whose column must now be the unit column of
+  /// row \p R; the slot's contents are not read again.
+  void release(size_t C, size_t R) {
+    size_t S = static_cast<size_t>(SlotOfPhys[C]);
+    PhysOfSlot[S] = FreeSlot;
+    FreeSlots.push_back(static_cast<uint32_t>(S));
+    SlotOfPhys[C] = -1;
+    ImplicitRow[C] = static_cast<int>(R);
+    ImplicitVal[C] = 1.0;
   }
 
   int logicalOf(int Phys) const {
@@ -283,9 +283,9 @@ public:
   }
 };
 
-/// Compat-mode tableau build: identical row normalization, physical column
-/// assignment, and initial basis as the dense ExplicitBounds build (every
-/// finite upper bound becomes one extra LE row).
+/// Compat-mode tableau build: the historical dense solver's row
+/// normalization, physical column assignment and initial basis, with every
+/// finite upper bound as one extra LE row.
 void buildCompat(CompatTableau &T, const Model &M,
                  const std::vector<double> &Lo, const std::vector<double> &Hi) {
   const size_t NumVars = M.numVars();
@@ -357,14 +357,15 @@ void buildCompat(CompatTableau &T, const Model &M,
     T.Cols.shrink_to_fit();
   }
   T.Cols.assign(NumRows * NumVars, 0.0);
-  T.NumSlots = NumVars;
   T.SlotOfPhys.assign(T.NumCols, -1);
   T.PhysOfSlot.resize(NumVars);
   for (size_t V = 0; V < NumVars; ++V) {
     T.SlotOfPhys[V] = static_cast<int>(V);
     T.PhysOfSlot[V] = static_cast<uint32_t>(V);
   }
-  T.DiagOfPhys.assign(T.NumCols, 0.0);
+  T.FreeSlots.clear();
+  T.ImplicitRow.assign(T.NumCols, -1);
+  T.ImplicitVal.assign(T.NumCols, 0.0);
   T.Rhs.assign(NumRows, 0.0);
   T.Status.assign(T.NumCols, ColStatus::AtLower);
   T.Basis.assign(NumRows, -1);
@@ -382,13 +383,13 @@ void buildCompat(CompatTableau &T, const Model &M,
     T.Rhs[R] = EffRhs[R];
     if (T.SlackPhysOfRow[R] >= 0) {
       size_t S = static_cast<size_t>(T.SlackPhysOfRow[R]);
-      T.DiagOfPhys[S] = SlackCoeff[R];
-      T.RowOfPhys[S] = static_cast<int>(R);
+      T.ImplicitRow[S] = T.RowOfPhys[S] = static_cast<int>(R);
+      T.ImplicitVal[S] = SlackCoeff[R];
     }
     if (T.ArtPhysOfRow[R] >= 0) {
       size_t A = static_cast<size_t>(T.ArtPhysOfRow[R]);
-      T.DiagOfPhys[A] = 1.0;
-      T.RowOfPhys[A] = static_cast<int>(R);
+      T.ImplicitRow[A] = T.RowOfPhys[A] = static_cast<int>(R);
+      T.ImplicitVal[A] = 1.0;
       T.Basis[R] = static_cast<int>(A);
       T.Status[A] = ColStatus::Basic;
     } else {
@@ -404,76 +405,68 @@ void buildCompat(CompatTableau &T, const Model &M,
 /// the reciprocal, other rows subtract Factor times the scaled row. Only
 /// columns below \p SweepEnd are touched; phase 2 passes ArtStart, which
 /// skips the dead artificial columns without changing any value ever read.
-/// Loop order is columns-outer over the pivot row's nonzeros (each affected
-/// entry still receives the single identical `a -= f * p` update), and
-/// zero-factor rows are skipped exactly like the dense sweep.
+/// Loop order is columns-outer over the pivot row's nonzeros, and every
+/// entry the historical elimination changes receives the identical
+/// `a -= f * p` update. Each such column takes one full, vectorizable sweep,
+/// which also subtracts `0 * p` from its zero-factor rows: that leaves every
+/// nonzero entry unchanged (tableau entries are finite) and can at most
+/// flip the sign of a zero entry, which nothing reads.
 void compatPivot(CompatTableau &T, size_t PR, size_t Q, size_t SweepEnd) {
   const size_t M = T.NumRows;
-  // The columns this pivot can fill beyond their implicit diagonal are the
-  // entering column and the pivot row's own slack/artificial; promote them
-  // so the sweep below sees real storage.
+  // Store the columns this pivot gives a second nonzero: the entering
+  // column and the implicit columns with their nonzero in the pivot row,
+  // namely its basic column and, while untouched, its slack. (Its
+  // artificial is implicit there only while basic or once dead.)
   if (T.SlotOfPhys[Q] < 0)
-    T.promote(Q);
-  int SP = T.SlackPhysOfRow[PR];
-  if (SP >= 0 && static_cast<size_t>(SP) < SweepEnd && T.SlotOfPhys[SP] < 0)
-    T.promote(static_cast<size_t>(SP));
-  int AP = T.ArtPhysOfRow[PR];
-  if (AP >= 0 && static_cast<size_t>(AP) < SweepEnd && T.SlotOfPhys[AP] < 0)
-    T.promote(static_cast<size_t>(AP));
+    T.store(Q);
+  for (int C : {T.Basis[PR], T.SlackPhysOfRow[PR]})
+    if (C >= 0 && static_cast<size_t>(C) < SweepEnd && T.SlotOfPhys[C] < 0 &&
+        T.ImplicitRow[C] == static_cast<int>(PR))
+      T.store(static_cast<size_t>(C));
 
   const size_t SQ = static_cast<size_t>(T.SlotOfPhys[Q]);
-  double Inv = 1.0 / T.Cols[SQ * M + PR];
+  double *CQ = T.col(SQ);
+  double Inv = 1.0 / CQ[PR];
   // Scale the pivot row's nonzeros. Any nonzero below SweepEnd lives in a
-  // slot: implicit columns are nonzero only in their own row, and the pivot
-  // row's were just promoted.
+  // slot: the implicit ones in the pivot row were just stored.
   thread_local std::vector<uint32_t> NzSlots;
   NzSlots.clear();
-  for (size_t S = 0; S < T.NumSlots; ++S) {
-    if (T.PhysOfSlot[S] >= SweepEnd)
+  for (size_t S = 0; S < T.PhysOfSlot.size(); ++S) {
+    if (T.PhysOfSlot[S] >= SweepEnd || S == SQ)
       continue;
     double &V = T.Cols[S * M + PR];
     if (V != 0.0) {
       V *= Inv;
-      if (S != SQ)
-        NzSlots.push_back(static_cast<uint32_t>(S));
+      NzSlots.push_back(static_cast<uint32_t>(S));
     }
   }
-  T.Cols[SQ * M + PR] = 1.0;
   T.Rhs[PR] *= Inv;
+  const double RhsP = T.Rhs[PR];
 
-  // Gather the rows with a nonzero entering-column factor, then eliminate
-  // column-by-column (entering column becomes exactly the unit column).
-  thread_local std::vector<uint32_t> NzRows;
-  thread_local std::vector<double> Factors;
-  NzRows.clear();
-  Factors.clear();
-  double *CQ = T.col(SQ);
-  for (size_t R = 0; R < M; ++R) {
-    if (R == PR)
-      continue;
-    double Factor = CQ[R];
-    if (Factor == 0.0)
-      continue;
-    NzRows.push_back(static_cast<uint32_t>(R));
-    Factors.push_back(Factor);
-    CQ[R] = 0.0;
-  }
+  // The entering column's other entries are the row factors; with its
+  // pivot-row entry zeroed it is the factor vector of the sweep. Rhs
+  // entries become solution values, so zero-factor rows keep theirs as is.
+  CQ[PR] = 0.0;
+  for (size_t R = 0; R < M; ++R)
+    if (CQ[R] != 0.0)
+      T.Rhs[R] -= CQ[R] * RhsP;
   for (uint32_t S : NzSlots) {
-    double P = T.Cols[static_cast<size_t>(S) * M + PR];
     double *CD = T.col(S);
-    for (size_t I = 0; I < NzRows.size(); ++I)
-      CD[NzRows[I]] -= Factors[I] * P;
+    const double P = CD[PR];
+    for (size_t R = 0; R < M; ++R)
+      CD[R] -= CQ[R] * P;
   }
-  for (size_t I = 0; I < NzRows.size(); ++I)
-    T.Rhs[NzRows[I]] -= Factors[I] * T.Rhs[PR];
 
   double Factor = T.Cost[Q];
   if (Factor != 0.0) {
     for (uint32_t S : NzSlots)
       T.Cost[T.PhysOfSlot[S]] -= Factor * T.Cols[static_cast<size_t>(S) * M + PR];
-    T.CostRhs -= Factor * T.Rhs[PR];
+    T.CostRhs -= Factor * RhsP;
     T.Cost[Q] = 0.0;
   }
+  // The entering column is now the unit column of the pivot row (its slot
+  // still holds the factors).
+  T.release(Q, PR);
   T.Status[static_cast<size_t>(T.Basis[PR])] = ColStatus::AtLower;
   T.Basis[PR] = static_cast<int>(Q);
   T.Status[Q] = ColStatus::Basic;
@@ -526,11 +519,11 @@ PhaseResult runCompat(CompatTableau &T, const SimplexOptions &Options,
         }
       }
     } else {
-      // Implicit column: its only nonzero is the diagonal in its own row,
-      // so the dense row scan reduces to at most one candidate.
-      int R0 = T.RowOfPhys[Entering];
-      if (R0 >= 0 && T.DiagOfPhys[Entering] > Tol) {
-        BestRatio = T.Rhs[static_cast<size_t>(R0)] / T.DiagOfPhys[Entering];
+      // Implicit column: it has one nonzero, so the dense row scan
+      // reduces to at most one candidate.
+      int R0 = T.ImplicitRow[Entering];
+      if (T.ImplicitVal[Entering] > Tol) {
+        BestRatio = T.Rhs[static_cast<size_t>(R0)] / T.ImplicitVal[Entering];
         Leaving = static_cast<size_t>(R0);
       }
     }
@@ -583,17 +576,14 @@ Solution solveCompatLp(const Model &M, const std::vector<double> &Lo,
     for (size_t R = 0; R < NumRows; ++R) {
       if (static_cast<size_t>(T.Basis[R]) < T.ArtStart)
         continue;
-      for (size_t S = 0; S < T.NumSlots; ++S) {
+      for (size_t S = 0; S < T.PhysOfSlot.size(); ++S) {
         double V = T.Cols[S * NumRows + R];
         if (V != 0.0)
           T.Cost[T.PhysOfSlot[S]] -= V;
       }
-      int SP = T.SlackPhysOfRow[R];
-      if (SP >= 0 && T.SlotOfPhys[SP] < 0)
-        T.Cost[static_cast<size_t>(SP)] -= T.DiagOfPhys[static_cast<size_t>(SP)];
-      int AP = T.ArtPhysOfRow[R];
-      if (AP >= 0 && T.SlotOfPhys[AP] < 0)
-        T.Cost[static_cast<size_t>(AP)] -= T.DiagOfPhys[static_cast<size_t>(AP)];
+      for (int C : {T.SlackPhysOfRow[R], T.ArtPhysOfRow[R]})
+        if (C >= 0)
+          T.Cost[static_cast<size_t>(C)] -= T.ImplicitVal[static_cast<size_t>(C)];
       T.CostRhs -= T.Rhs[R];
     }
     PhaseResult P1 = runCompat(T, Options, RS, /*PriceEnd=*/T.NumCols,
@@ -628,8 +618,8 @@ Solution solveCompatLp(const Model &M, const std::vector<double> &Lo,
 
   // Phase 2: dead artificial columns are no longer priced or swept (the
   // values they would have received are never read). A row whose basic
-  // column carries cost has pivoted, so its slack already lives in a slot;
-  // the implicit-diagonal term is kept for form's sake.
+  // column carries cost has pivoted, which stored its slack, so the only
+  // implicit column with a nonzero in that row is its basic column.
   {
     T.Cost.assign(T.NumCols, 0.0);
     double ObjSign = M.goal() == Goal::Minimize ? 1.0 : -1.0;
@@ -645,17 +635,14 @@ Solution solveCompatLp(const Model &M, const std::vector<double> &Lo,
       double CB = Costs[B];
       if (CB == 0.0)
         continue;
-      for (size_t S = 0; S < T.NumSlots; ++S) {
+      for (size_t S = 0; S < T.PhysOfSlot.size(); ++S) {
         if (T.PhysOfSlot[S] >= T.ArtStart)
           continue;
         double V = T.Cols[S * NumRows + R];
         if (V != 0.0)
           T.Cost[T.PhysOfSlot[S]] -= CB * V;
       }
-      int SP = T.SlackPhysOfRow[R];
-      if (SP >= 0 && T.SlotOfPhys[SP] < 0)
-        T.Cost[static_cast<size_t>(SP)] -=
-            CB * T.DiagOfPhys[static_cast<size_t>(SP)];
+      T.Cost[B] -= CB * T.ImplicitVal[B];
       T.CostRhs -= CB * T.Rhs[R];
     }
   }
@@ -1179,7 +1166,7 @@ Solution lp::solveLp(const Model &M, const std::vector<BoundOverride> &Overrides
   // ---- Warm path: replay the caller's basis, then re-optimize. ----
   if (!Solved && WarmStart && !WarmStart->empty()) {
     ++Tel.WarmStartAttempts;
-    buildTableau(T, M, Lo, Hi, /*ExplicitBounds=*/false);
+    buildTableau(T, M, Lo, Hi);
     if (replayBasis(T, *WarmStart)) {
       std::vector<double> Costs = makeCosts(T);
       computeReducedCosts(T, Costs);
@@ -1235,7 +1222,7 @@ Solution lp::solveLp(const Model &M, const std::vector<BoundOverride> &Overrides
 
   // ---- Cold path: two-phase from the slack/artificial basis. ----
   if (!Solved) {
-    buildTableau(T, M, Lo, Hi, /*ExplicitBounds=*/false);
+    buildTableau(T, M, Lo, Hi);
 
     if (T.NumCols > T.ArtStart) {
       // Phase 1: minimize the sum of artificials. Their reduced costs are

@@ -10,7 +10,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <string>
+#include <vector>
 
 using namespace palmed;
 using namespace palmed::lp;
@@ -22,6 +26,641 @@ LinearExpr expr(std::initializer_list<std::pair<VarId, double>> Terms) {
   for (const auto &[V, C] : Terms)
     E.add(V, C);
   return E;
+}
+
+/// A small LP with random integral bounds, coefficients, senses and goal.
+Model randomBoundedLp(uint64_t Seed) {
+  Rng R(Seed);
+  int N = 1 + static_cast<int>(R.uniformInt(6));
+  int Rows = 1 + static_cast<int>(R.uniformInt(6));
+  Model M;
+  std::vector<VarId> V;
+  for (int I = 0; I < N; ++I) {
+    double Lo = std::floor(R.uniformRealIn(-3.0, 3.0));
+    double Hi = R.uniformInt(3) == 0
+                    ? Infinity
+                    : Lo + std::floor(R.uniformRealIn(0.0, 6.0));
+    V.push_back(M.addVar("x", Lo, Hi));
+  }
+  for (int Row = 0; Row < Rows; ++Row) {
+    LinearExpr E;
+    for (int I = 0; I < N; ++I) {
+      double C = std::floor(R.uniformRealIn(-4.0, 5.0));
+      if (C != 0.0)
+        E.add(V[static_cast<size_t>(I)], C);
+    }
+    Sense S = R.uniformInt(4) == 0
+                  ? Sense::EQ
+                  : (R.uniformInt(2) ? Sense::LE : Sense::GE);
+    M.addConstraint(std::move(E), S, std::floor(R.uniformRealIn(-8.0, 12.0)));
+  }
+  LinearExpr Obj;
+  for (int I = 0; I < N; ++I)
+    Obj.add(V[static_cast<size_t>(I)], std::floor(R.uniformRealIn(-5.0, 6.0)));
+  M.setObjective(std::move(Obj),
+                 R.uniformInt(2) ? Goal::Maximize : Goal::Minimize);
+  return M;
+}
+
+//===----------------------------------------------------------------------===//
+// Reference compat solver: the compat path as it stood before its tableau
+// stored only live columns. Every slack or artificial column got a
+// permanent slot the first time a pivot touched it, and eliminations
+// scattered over the rows with a nonzero factor. Kept verbatim (telemetry
+// aside) as the reference the current solver must match bit for bit.
+//===----------------------------------------------------------------------===//
+
+namespace reference {
+
+enum class ColStatus : uint8_t { AtLower, AtUpper, Basic };
+
+constexpr size_t None = static_cast<size_t>(-1);
+
+enum class PhaseResult { Optimal, Unbounded, IterLimit, Infeasible };
+
+/// Column-compressed compat tableau. Palmed's compat-mode LPs are extreme
+/// in one dimension: the core BWP subproblems have thousands of capacity
+/// rows but only a few dozen structural variables, so a dense
+/// NumRows x NumCols tableau is ~99% slack/artificial columns that never
+/// leave their initial single-diagonal state (an unpromoted column is
+/// touched by an elimination only when its own row is the pivot row). This
+/// tableau stores structural columns densely (column-major, one slot per
+/// column) and keeps each slack/artificial column *implicit* — just its
+/// diagonal coefficient — until its row first pivots, at which point the
+/// column is promoted to a real slot. All bookkeeping (Cost, Status, Basis,
+/// physical column numbering) matches the dense compat tableau exactly, so
+/// pivot selection and pivot arithmetic are value-for-value identical; only
+/// the storage of never-touched zeros changed.
+class CompatTableau {
+public:
+  size_t NumRows = 0;
+  size_t NumVars = 0;
+  size_t ArtStart = 0;
+  size_t NumCols = 0;
+  size_t NumSlots = 0;
+
+  std::vector<double> Cols; ///< Slot-major: slot * NumRows + row.
+  std::vector<int> SlotOfPhys;       ///< Physical col -> slot, -1 implicit.
+  std::vector<uint32_t> PhysOfSlot;
+  std::vector<double> DiagOfPhys; ///< Implicit slack/art diagonal value.
+  std::vector<double> Rhs;
+  std::vector<double> Cost;
+  double CostRhs = 0.0;
+  std::vector<ColStatus> Status;
+  std::vector<int> Basis; ///< Per row: physical basic column.
+
+  std::vector<int> SlackPhysOfRow;
+  std::vector<int> ArtPhysOfRow;
+  std::vector<int> RowOfPhys;
+
+  double *col(size_t S) { return &Cols[S * NumRows]; }
+  const double *col(size_t S) const { return &Cols[S * NumRows]; }
+  double at(size_t R, size_t C) const {
+    int S = SlotOfPhys[C];
+    if (S >= 0)
+      return Cols[static_cast<size_t>(S) * NumRows + R];
+    return RowOfPhys[C] == static_cast<int>(R) ? DiagOfPhys[C] : 0.0;
+  }
+  /// Materializes an implicit column into a dense slot. Until its owning
+  /// row pivots, an implicit column's only nonzero is its untouched initial
+  /// diagonal, so the promoted slot reproduces the exact dense contents.
+  size_t promote(size_t C) {
+    size_t S = NumSlots++;
+    Cols.resize(NumSlots * NumRows, 0.0);
+    if (RowOfPhys[C] >= 0)
+      Cols[S * NumRows + static_cast<size_t>(RowOfPhys[C])] = DiagOfPhys[C];
+    SlotOfPhys[C] = static_cast<int>(S);
+    PhysOfSlot.push_back(static_cast<uint32_t>(C));
+    return S;
+  }
+
+  int logicalOf(int Phys) const {
+    if (static_cast<size_t>(Phys) < NumVars)
+      return Phys;
+    size_t R = static_cast<size_t>(RowOfPhys[static_cast<size_t>(Phys)]);
+    bool IsArt = static_cast<size_t>(Phys) >= ArtStart;
+    return static_cast<int>(NumVars + (IsArt ? NumRows : 0) + R);
+  }
+};
+
+/// Compat-mode tableau build: identical row normalization, physical column
+/// assignment, and initial basis as the dense ExplicitBounds build (every
+/// finite upper bound becomes one extra LE row).
+void buildCompat(CompatTableau &T, const Model &M,
+                 const std::vector<double> &Lo, const std::vector<double> &Hi) {
+  const size_t NumVars = M.numVars();
+  const size_t NumCons = M.numConstraints();
+  thread_local std::vector<size_t> UbVars;
+  UbVars.clear();
+  for (size_t V = 0; V < NumVars; ++V)
+    if (std::isfinite(Hi[V]))
+      UbVars.push_back(V);
+  const size_t NumRows = NumCons + UbVars.size();
+  T.NumRows = NumRows;
+  T.NumVars = NumVars;
+
+  thread_local std::vector<double> EffRhs, RowSign, SlackCoeff;
+  thread_local std::vector<uint8_t> NeedArt;
+  EffRhs.assign(NumRows, 0.0);
+  RowSign.assign(NumRows, 1.0);
+  SlackCoeff.assign(NumRows, 0.0);
+  NeedArt.assign(NumRows, 0);
+
+  size_t NumSlack = 0;
+  for (size_t R = 0; R < NumRows; ++R) {
+    double Rhs;
+    Sense Dir;
+    if (R < NumCons) {
+      const Constraint &C = M.constraints()[R];
+      double Shift = 0.0;
+      for (const auto &[Var, Coeff] : C.Expr.terms())
+        Shift += Coeff * Lo[static_cast<size_t>(Var)];
+      Rhs = C.Rhs - Shift;
+      Dir = C.Dir;
+    } else {
+      size_t V = UbVars[R - NumCons];
+      Rhs = Hi[V] - Lo[V];
+      Dir = Sense::LE;
+    }
+    if (Rhs < 0.0) {
+      Rhs = -Rhs;
+      RowSign[R] = -1.0;
+    }
+    EffRhs[R] = Rhs;
+    if (Dir != Sense::EQ) {
+      ++NumSlack;
+      SlackCoeff[R] = RowSign[R] * (Dir == Sense::LE ? 1.0 : -1.0);
+    }
+    NeedArt[R] = SlackCoeff[R] != 1.0;
+  }
+  T.ArtStart = NumVars + NumSlack;
+
+  T.SlackPhysOfRow.assign(NumRows, -1);
+  T.ArtPhysOfRow.assign(NumRows, -1);
+  size_t NextSlack = NumVars;
+  size_t NumArt = 0;
+  for (size_t R = 0; R < NumRows; ++R) {
+    if (SlackCoeff[R] != 0.0)
+      T.SlackPhysOfRow[R] = static_cast<int>(NextSlack++);
+    if (NeedArt[R])
+      T.ArtPhysOfRow[R] = static_cast<int>(T.ArtStart + NumArt++);
+  }
+  T.NumCols = T.ArtStart + NumArt;
+
+  // Structural columns are always materialized; slack/artificial columns
+  // start implicit. The slot pool is thread_local scratch like the dense
+  // tableau's Data; trim it when one outsized solve would otherwise pin the
+  // allocation.
+  size_t Need = NumRows * (NumVars + 64);
+  if (T.Cols.capacity() > (size_t{1} << 20) && T.Cols.capacity() > 8 * Need) {
+    T.Cols.clear();
+    T.Cols.shrink_to_fit();
+  }
+  T.Cols.assign(NumRows * NumVars, 0.0);
+  T.NumSlots = NumVars;
+  T.SlotOfPhys.assign(T.NumCols, -1);
+  T.PhysOfSlot.resize(NumVars);
+  for (size_t V = 0; V < NumVars; ++V) {
+    T.SlotOfPhys[V] = static_cast<int>(V);
+    T.PhysOfSlot[V] = static_cast<uint32_t>(V);
+  }
+  T.DiagOfPhys.assign(T.NumCols, 0.0);
+  T.Rhs.assign(NumRows, 0.0);
+  T.Status.assign(T.NumCols, ColStatus::AtLower);
+  T.Basis.assign(NumRows, -1);
+  T.RowOfPhys.assign(T.NumCols, -1);
+  T.CostRhs = 0.0;
+
+  for (size_t R = 0; R < NumRows; ++R) {
+    if (R < NumCons) {
+      const Constraint &C = M.constraints()[R];
+      for (const auto &[Var, Coeff] : C.Expr.terms())
+        T.Cols[static_cast<size_t>(Var) * NumRows + R] += RowSign[R] * Coeff;
+    } else {
+      T.Cols[UbVars[R - NumCons] * NumRows + R] = RowSign[R];
+    }
+    T.Rhs[R] = EffRhs[R];
+    if (T.SlackPhysOfRow[R] >= 0) {
+      size_t S = static_cast<size_t>(T.SlackPhysOfRow[R]);
+      T.DiagOfPhys[S] = SlackCoeff[R];
+      T.RowOfPhys[S] = static_cast<int>(R);
+    }
+    if (T.ArtPhysOfRow[R] >= 0) {
+      size_t A = static_cast<size_t>(T.ArtPhysOfRow[R]);
+      T.DiagOfPhys[A] = 1.0;
+      T.RowOfPhys[A] = static_cast<int>(R);
+      T.Basis[R] = static_cast<int>(A);
+      T.Status[A] = ColStatus::Basic;
+    } else {
+      size_t S = static_cast<size_t>(T.SlackPhysOfRow[R]);
+      T.Basis[R] = static_cast<int>(S);
+      T.Status[S] = ColStatus::Basic;
+    }
+  }
+}
+
+/// Compat-mode pivot: the historical arithmetic, with Rhs (and the cost
+/// row's rhs) swept as plain algebraic columns — the pivot row is scaled by
+/// the reciprocal, other rows subtract Factor times the scaled row. Only
+/// columns below \p SweepEnd are touched; phase 2 passes ArtStart, which
+/// skips the dead artificial columns without changing any value ever read.
+/// Loop order is columns-outer over the pivot row's nonzeros (each affected
+/// entry still receives the single identical `a -= f * p` update), and
+/// zero-factor rows are skipped exactly like the dense sweep.
+void compatPivot(CompatTableau &T, size_t PR, size_t Q, size_t SweepEnd) {
+  const size_t M = T.NumRows;
+  // The columns this pivot can fill beyond their implicit diagonal are the
+  // entering column and the pivot row's own slack/artificial; promote them
+  // so the sweep below sees real storage.
+  if (T.SlotOfPhys[Q] < 0)
+    T.promote(Q);
+  int SP = T.SlackPhysOfRow[PR];
+  if (SP >= 0 && static_cast<size_t>(SP) < SweepEnd && T.SlotOfPhys[SP] < 0)
+    T.promote(static_cast<size_t>(SP));
+  int AP = T.ArtPhysOfRow[PR];
+  if (AP >= 0 && static_cast<size_t>(AP) < SweepEnd && T.SlotOfPhys[AP] < 0)
+    T.promote(static_cast<size_t>(AP));
+
+  const size_t SQ = static_cast<size_t>(T.SlotOfPhys[Q]);
+  double Inv = 1.0 / T.Cols[SQ * M + PR];
+  // Scale the pivot row's nonzeros. Any nonzero below SweepEnd lives in a
+  // slot: implicit columns are nonzero only in their own row, and the pivot
+  // row's were just promoted.
+  thread_local std::vector<uint32_t> NzSlots;
+  NzSlots.clear();
+  for (size_t S = 0; S < T.NumSlots; ++S) {
+    if (T.PhysOfSlot[S] >= SweepEnd)
+      continue;
+    double &V = T.Cols[S * M + PR];
+    if (V != 0.0) {
+      V *= Inv;
+      if (S != SQ)
+        NzSlots.push_back(static_cast<uint32_t>(S));
+    }
+  }
+  T.Cols[SQ * M + PR] = 1.0;
+  T.Rhs[PR] *= Inv;
+
+  // Gather the rows with a nonzero entering-column factor, then eliminate
+  // column-by-column (entering column becomes exactly the unit column).
+  thread_local std::vector<uint32_t> NzRows;
+  thread_local std::vector<double> Factors;
+  NzRows.clear();
+  Factors.clear();
+  double *CQ = T.col(SQ);
+  for (size_t R = 0; R < M; ++R) {
+    if (R == PR)
+      continue;
+    double Factor = CQ[R];
+    if (Factor == 0.0)
+      continue;
+    NzRows.push_back(static_cast<uint32_t>(R));
+    Factors.push_back(Factor);
+    CQ[R] = 0.0;
+  }
+  for (uint32_t S : NzSlots) {
+    double P = T.Cols[static_cast<size_t>(S) * M + PR];
+    double *CD = T.col(S);
+    for (size_t I = 0; I < NzRows.size(); ++I)
+      CD[NzRows[I]] -= Factors[I] * P;
+  }
+  for (size_t I = 0; I < NzRows.size(); ++I)
+    T.Rhs[NzRows[I]] -= Factors[I] * T.Rhs[PR];
+
+  double Factor = T.Cost[Q];
+  if (Factor != 0.0) {
+    for (uint32_t S : NzSlots)
+      T.Cost[T.PhysOfSlot[S]] -= Factor * T.Cols[static_cast<size_t>(S) * M + PR];
+    T.CostRhs -= Factor * T.Rhs[PR];
+    T.Cost[Q] = 0.0;
+  }
+  T.Status[static_cast<size_t>(T.Basis[PR])] = ColStatus::AtLower;
+  T.Basis[PR] = static_cast<int>(Q);
+  T.Status[Q] = ColStatus::Basic;
+}
+
+/// Compat-mode phase runner: Dantzig pricing with the historical stall
+/// detection and ratio-test tie-breaks, reproducing the seed solver's pivot
+/// sequence value-for-value. \p PriceEnd bounds the entering-column scan
+/// (phase 1 may re-enter artificials, phase 2 may not); \p SweepEnd bounds
+/// the elimination sweep.
+PhaseResult runCompat(CompatTableau &T, const SimplexOptions &Options,
+                      LpRunStats &RS, size_t PriceEnd, size_t SweepEnd) {
+  const double Tol = Options.Tolerance;
+  int StallCount = 0;
+  bool UseBland = false;
+  double LastObjective = -T.CostRhs;
+
+  for (int Iter = 0; Iter < Options.MaxIterations; ++Iter) {
+    size_t Entering = None;
+    double BestCost = -Tol;
+    for (size_t C = 0; C < PriceEnd; ++C) {
+      if (T.Status[C] == ColStatus::Basic)
+        continue;
+      double RC = T.Cost[C];
+      if (RC < BestCost) {
+        BestCost = RC;
+        Entering = C;
+        if (UseBland)
+          break;
+      }
+    }
+    if (Entering == None)
+      return PhaseResult::Optimal;
+
+    size_t Leaving = None;
+    double BestRatio = 0.0;
+    int SE = T.SlotOfPhys[Entering];
+    if (SE >= 0) {
+      const double *CE = T.col(static_cast<size_t>(SE));
+      for (size_t R = 0; R < T.NumRows; ++R) {
+        double A = CE[R];
+        if (A <= Tol)
+          continue;
+        double Ratio = T.Rhs[R] / A;
+        if (Leaving == None || Ratio < BestRatio - Tol ||
+            (Ratio < BestRatio + Tol && T.Basis[R] < T.Basis[Leaving])) {
+          BestRatio = Ratio;
+          Leaving = R;
+        }
+      }
+    } else {
+      // Implicit column: its only nonzero is the diagonal in its own row,
+      // so the dense row scan reduces to at most one candidate.
+      int R0 = T.RowOfPhys[Entering];
+      if (R0 >= 0 && T.DiagOfPhys[Entering] > Tol) {
+        BestRatio = T.Rhs[static_cast<size_t>(R0)] / T.DiagOfPhys[Entering];
+        Leaving = static_cast<size_t>(R0);
+      }
+    }
+    if (Leaving == None)
+      return PhaseResult::Unbounded;
+
+    compatPivot(T, Leaving, Entering, SweepEnd);
+    ++RS.Pivots;
+
+    double Objective = -T.CostRhs;
+    if (Objective < LastObjective - Tol) {
+      LastObjective = Objective;
+      StallCount = 0;
+    } else if (++StallCount > 200) {
+      UseBland = true;
+    }
+  }
+  return PhaseResult::IterLimit;
+}
+
+/// Full compat-mode solve: the historical two-phase dense solver,
+/// value-for-value, over the column-compressed tableau. Warm starts are
+/// ignored in this mode (see LpPricing::Dantzig); the cost of a cold solve
+/// is what the compression attacks.
+Solution solveCompatLp(const Model &M, const std::vector<double> &Lo,
+                       const std::vector<double> &Hi,
+                       const SimplexOptions &Options, LpRunStats &RS,
+                       SimplexBasis *FinalBasis) {
+  const double Tol = Options.Tolerance;
+  const size_t NumVars = M.numVars();
+  Solution Result;
+
+  thread_local CompatTableau T;
+  buildCompat(T, M, Lo, Hi);
+  const size_t NumRows = T.NumRows;
+
+  if (T.NumCols > T.ArtStart) {
+    // Phase 1 over all columns (artificials are priced and swept like the
+    // historical code until they are retired). The initial cost row is
+    // accumulated from each artificial-basic row's nonzeros: structural
+    // entries live in slots, and the row's own slack/artificial diagonals
+    // are still implicit (no other implicit column has a nonzero here), so
+    // skipping the zeros reproduces the dense subtraction value-for-value.
+    T.Cost.assign(T.NumCols, 0.0);
+    for (size_t C = T.ArtStart; C < T.NumCols; ++C)
+      T.Cost[C] = 1.0;
+    T.CostRhs = 0.0;
+    for (size_t R = 0; R < NumRows; ++R) {
+      if (static_cast<size_t>(T.Basis[R]) < T.ArtStart)
+        continue;
+      for (size_t S = 0; S < T.NumSlots; ++S) {
+        double V = T.Cols[S * NumRows + R];
+        if (V != 0.0)
+          T.Cost[T.PhysOfSlot[S]] -= V;
+      }
+      int SP = T.SlackPhysOfRow[R];
+      if (SP >= 0 && T.SlotOfPhys[SP] < 0)
+        T.Cost[static_cast<size_t>(SP)] -= T.DiagOfPhys[static_cast<size_t>(SP)];
+      int AP = T.ArtPhysOfRow[R];
+      if (AP >= 0 && T.SlotOfPhys[AP] < 0)
+        T.Cost[static_cast<size_t>(AP)] -= T.DiagOfPhys[static_cast<size_t>(AP)];
+      T.CostRhs -= T.Rhs[R];
+    }
+    PhaseResult P1 = runCompat(T, Options, RS, /*PriceEnd=*/T.NumCols,
+                               /*SweepEnd=*/T.NumCols);
+    if (P1 == PhaseResult::IterLimit) {
+      Result.Status = SolveStatus::IterLimit;
+      return Result;
+    }
+    if (-T.CostRhs > 1e-7) {
+      Result.Status = SolveStatus::Infeasible;
+      return Result;
+    }
+    // Drive residual basic artificials out where possible; redundant rows
+    // keep theirs basic at zero.
+    for (size_t R = 0; R < NumRows; ++R) {
+      if (static_cast<size_t>(T.Basis[R]) < T.ArtStart)
+        continue;
+      size_t PivotCol = None;
+      for (size_t C = 0; C < T.ArtStart; ++C) {
+        if (std::abs(T.at(R, C)) > Tol) {
+          PivotCol = C;
+          break;
+        }
+      }
+      if (PivotCol != None) {
+        compatPivot(T, R, PivotCol, T.ArtStart);
+        ++RS.Pivots;
+      }
+    }
+  }
+
+  // Phase 2: dead artificial columns are no longer priced or swept (the
+  // values they would have received are never read). A row whose basic
+  // column carries cost has pivoted, so its slack already lives in a slot;
+  // the implicit-diagonal term is kept for form's sake.
+  {
+    T.Cost.assign(T.NumCols, 0.0);
+    double ObjSign = M.goal() == Goal::Minimize ? 1.0 : -1.0;
+    LinearExpr Obj = M.objective();
+    Obj.normalize();
+    for (const auto &[Var, Coeff] : Obj.terms())
+      T.Cost[static_cast<size_t>(Var)] = ObjSign * Coeff;
+    thread_local std::vector<double> Costs;
+    Costs = T.Cost;
+    T.CostRhs = 0.0;
+    for (size_t R = 0; R < NumRows; ++R) {
+      size_t B = static_cast<size_t>(T.Basis[R]);
+      double CB = Costs[B];
+      if (CB == 0.0)
+        continue;
+      for (size_t S = 0; S < T.NumSlots; ++S) {
+        if (T.PhysOfSlot[S] >= T.ArtStart)
+          continue;
+        double V = T.Cols[S * NumRows + R];
+        if (V != 0.0)
+          T.Cost[T.PhysOfSlot[S]] -= CB * V;
+      }
+      int SP = T.SlackPhysOfRow[R];
+      if (SP >= 0 && T.SlotOfPhys[SP] < 0)
+        T.Cost[static_cast<size_t>(SP)] -=
+            CB * T.DiagOfPhys[static_cast<size_t>(SP)];
+      T.CostRhs -= CB * T.Rhs[R];
+    }
+  }
+  PhaseResult PR = runCompat(T, Options, RS, /*PriceEnd=*/T.ArtStart,
+                             /*SweepEnd=*/T.ArtStart);
+
+  if (PR == PhaseResult::IterLimit) {
+    Result.Status = SolveStatus::IterLimit;
+    return Result;
+  }
+  if (PR == PhaseResult::Unbounded) {
+    Result.Status = SolveStatus::Unbounded;
+    return Result;
+  }
+
+  // Extract the solution (shift lower bounds back in). Compat mode has no
+  // nonbasic-at-upper statuses (bounds are explicit rows).
+  Result.Values.assign(NumVars, 0.0);
+  for (size_t R = 0; R < NumRows; ++R) {
+    int B = T.Basis[R];
+    if (B >= 0 && static_cast<size_t>(B) < NumVars)
+      Result.Values[static_cast<size_t>(B)] = T.Rhs[R];
+  }
+  for (size_t V = 0; V < NumVars; ++V) {
+    Result.Values[V] += Lo[V];
+    Result.Values[V] = std::max(Result.Values[V], Lo[V]);
+    if (std::isfinite(Hi[V]))
+      Result.Values[V] = std::min(Result.Values[V], Hi[V]);
+  }
+  Result.Objective = M.objective().evaluate(Result.Values);
+  Result.Status = SolveStatus::Optimal;
+
+  if (FinalBasis) {
+    FinalBasis->BasicCols.resize(NumRows);
+    for (size_t R = 0; R < NumRows; ++R)
+      FinalBasis->BasicCols[R] = T.logicalOf(T.Basis[R]);
+    FinalBasis->AtUpper.assign(NumVars, 0);
+  }
+  return Result;
+}
+
+/// solveLp's compat entry: effective bounds, then the two-phase solve.
+Solution solve(const Model &M, const SimplexOptions &Options, LpRunStats &RS,
+               SimplexBasis *FinalBasis) {
+  const size_t NumVars = M.numVars();
+  std::vector<double> Lo(NumVars), Hi(NumVars);
+  for (size_t V = 0; V < NumVars; ++V) {
+    Lo[V] = M.var(static_cast<VarId>(V)).LowerBound;
+    Hi[V] = M.var(static_cast<VarId>(V)).UpperBound;
+    if (Lo[V] > Hi[V] + Options.Tolerance) {
+      Solution Result;
+      Result.Status = SolveStatus::Infeasible;
+      return Result;
+    }
+  }
+  return solveCompatLp(M, Lo, Hi, Options, RS, FinalBasis);
+}
+
+} // namespace reference
+
+/// A block shaped like the BWP fit's maximize pass: NumW weights in
+/// [0, 1]; LE capacity rows drawn from a small pool of coefficient vectors,
+/// so vectors repeat with equal and with different right-hand sides; an
+/// optional GE floor row, which needs an artificial (phase 1, and with a
+/// zero floor over negated weights, the drive-out of a basic artificial);
+/// and a maximize-sum objective. Three rows in four are tight at one point
+/// X (all values exact in binary), so that vertex is degenerate in
+/// hundreds of rows, as measured BWP blocks are. Seeds 2, 22, 32 and 34
+/// stall long enough to switch to Bland's rule.
+Model bwpShapedLp(uint64_t Seed) {
+  Rng R(Seed);
+  const size_t NumW = 2 + R.uniformInt(39);
+  const size_t NumRows = 200 + R.uniformInt(2801);
+  const int Floor = static_cast<int>(R.uniformInt(3));
+  Model M;
+  std::vector<double> X(NumW);
+  for (size_t V = 0; V < NumW; ++V) {
+    M.addVar("w", 0.0, 1.0);
+    // The zero floor below forces every third weight to zero.
+    X[V] = Floor == 2 && V % 3 == 0
+               ? 0.0
+               : 0.25 * static_cast<double>(R.uniformInt(5));
+  }
+  std::vector<std::vector<std::pair<VarId, double>>> Pool(
+      4 + R.uniformInt(NumRows / 4));
+  for (auto &Terms : Pool) {
+    size_t K = 1 + R.uniformInt(NumW);
+    for (size_t I = 0; I < K; ++I)
+      Terms.emplace_back(static_cast<VarId>(R.uniformInt(NumW)),
+                         0.25 * static_cast<double>(1 + R.uniformInt(12)));
+  }
+  for (size_t Row = 0; Row < NumRows; ++Row) {
+    LinearExpr E;
+    double Tight = 0.0;
+    for (const auto &[V, C] : Pool[R.uniformInt(Pool.size())]) {
+      E.add(V, C);
+      Tight += C * X[static_cast<size_t>(V)];
+    }
+    double Rhs = R.uniformInt(4)
+                     ? Tight
+                     : Tight + 0.125 * static_cast<double>(1 + R.uniformInt(8));
+    M.addConstraint(std::move(E), Sense::LE, Rhs);
+  }
+  LinearExpr E;
+  if (Floor == 1) {
+    // Met by X exactly or with room to spare.
+    double Sum = 0.0;
+    for (size_t V = 0; V < NumW; ++V)
+      if (R.uniformInt(2)) {
+        E.add(static_cast<VarId>(V), 1.0);
+        Sum += X[V];
+      }
+    M.addConstraint(std::move(E), Sense::GE, R.uniformInt(2) ? Sum : Sum / 2);
+  } else if (Floor == 2) {
+    for (size_t V = 0; V < NumW; V += 3)
+      E.add(static_cast<VarId>(V), -1.0);
+    M.addConstraint(std::move(E), Sense::GE, 0.0);
+  }
+  LinearExpr Obj;
+  for (size_t V = 0; V < NumW; ++V)
+    Obj.add(static_cast<VarId>(V), 1.0);
+  M.setObjective(std::move(Obj), Goal::Maximize);
+  return M;
+}
+
+bool sameBits(double A, double B) {
+  return std::memcmp(&A, &B, sizeof(double)) == 0;
+}
+
+/// Solves \p M on the compat path and with the reference solver, and
+/// requires the same status, objective and values bit for bit, the same
+/// final basis and the same pivot count.
+void expectMatchesReference(const Model &M, const std::string &What) {
+  SimplexOptions Compat;
+  Compat.Pricing = LpPricing::Dantzig;
+  LpRunStats Got, Want;
+  SimplexBasis GotBasis, WantBasis;
+  Solution A = solveLp(M, {}, Compat, nullptr, &GotBasis, &Got);
+  Solution B = reference::solve(M, Compat, Want, &WantBasis);
+  ASSERT_EQ(A.Status, B.Status) << What;
+  EXPECT_EQ(Got.Pivots, Want.Pivots) << What;
+  EXPECT_TRUE(sameBits(A.Objective, B.Objective))
+      << What << ": objective " << A.Objective << " vs " << B.Objective;
+  ASSERT_EQ(A.Values.size(), B.Values.size()) << What;
+  for (size_t V = 0; V < A.Values.size(); ++V)
+    EXPECT_TRUE(sameBits(A.Values[V], B.Values[V]))
+        << What << ": x" << V << " = " << A.Values[V] << " vs "
+        << B.Values[V];
+  EXPECT_EQ(GotBasis.BasicCols, WantBasis.BasicCols) << What;
 }
 
 } // namespace
@@ -155,36 +794,7 @@ TEST(Simplex, CompatAndFastAgreeOnRandomBoundedLps) {
   // The two solver flavors must agree on status and optimal value (the
   // optimal vertex may legitimately differ on degenerate faces).
   for (uint64_t Seed = 1; Seed <= 200; ++Seed) {
-    Rng R(Seed);
-    int N = 1 + static_cast<int>(R.uniformInt(6));
-    int Rows = 1 + static_cast<int>(R.uniformInt(6));
-    Model M;
-    std::vector<VarId> V;
-    for (int I = 0; I < N; ++I) {
-      double Lo = std::floor(R.uniformRealIn(-3.0, 3.0));
-      double Hi = R.uniformInt(3) == 0
-                      ? Infinity
-                      : Lo + std::floor(R.uniformRealIn(0.0, 6.0));
-      V.push_back(M.addVar("x", Lo, Hi));
-    }
-    for (int Row = 0; Row < Rows; ++Row) {
-      LinearExpr E;
-      for (int I = 0; I < N; ++I) {
-        double C = std::floor(R.uniformRealIn(-4.0, 5.0));
-        if (C != 0.0)
-          E.add(V[static_cast<size_t>(I)], C);
-      }
-      Sense S = R.uniformInt(4) == 0
-                    ? Sense::EQ
-                    : (R.uniformInt(2) ? Sense::LE : Sense::GE);
-      M.addConstraint(std::move(E), S, std::floor(R.uniformRealIn(-8.0, 12.0)));
-    }
-    LinearExpr Obj;
-    for (int I = 0; I < N; ++I)
-      Obj.add(V[static_cast<size_t>(I)], std::floor(R.uniformRealIn(-5.0, 6.0)));
-    M.setObjective(std::move(Obj),
-                   R.uniformInt(2) ? Goal::Maximize : Goal::Minimize);
-
+    Model M = randomBoundedLp(Seed);
     SimplexOptions Fast;
     SimplexOptions Compat;
     Compat.Pricing = LpPricing::Dantzig;
@@ -197,6 +807,18 @@ TEST(Simplex, CompatAndFastAgreeOnRandomBoundedLps) {
           << "seed " << Seed;
     }
   }
+}
+
+TEST(Simplex, CompatMatchesReferenceOnRandomBoundedLps) {
+  for (uint64_t Seed = 1; Seed <= 200; ++Seed)
+    expectMatchesReference(randomBoundedLp(Seed),
+                           "random LP seed " + std::to_string(Seed));
+}
+
+TEST(Simplex, CompatMatchesReferenceOnBwpShapedLps) {
+  for (uint64_t Seed = 1; Seed <= 40; ++Seed)
+    expectMatchesReference(bwpShapedLp(Seed),
+                           "BWP-shaped LP seed " + std::to_string(Seed));
 }
 
 TEST(Simplex, WarmStartAfterObjectiveChangeMatchesCold) {
