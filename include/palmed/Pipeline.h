@@ -52,20 +52,18 @@ struct PalmedConfig {
   BwpMode Mode = BwpMode::Pinned;
   /// Maximum shape/enrichment iterations (Algo 2's repeat-until loop).
   int MaxShapeIterations = 10;
-  /// How the per-instruction fan-outs (stage 1 selection benchmarks and
-  /// stage 3 LPAUX solves) are scheduled. Mapping outcomes are
+  /// How the fan-outs (stage 1 selection benchmarks, stage 2 per-resource
+  /// LP2 blocks, stage 3 LPAUX solves) are scheduled. Mapping outcomes are
   /// bit-identical between Serial and any Parallel(N); see the observer
   /// threading contract in palmed/Observer.h.
   ExecutionPolicy Execution = ExecutionPolicy::serial();
   /// Stage-2 LP2 solve strategy (see BwpSolveOptions in core/BwpSolver.h).
   /// All combinations produce bit-identical mappings; the knobs only trade
-  /// work. Lp2Decompose splits each pinned solve into independent
-  /// resource-coupling components (fanned over the execution policy when
-  /// more than one); Lp2Cache memoizes per-resource subproblem blocks and
-  /// warm-start bases across the shape-refinement iterations; Lp2ReuseModels
-  /// patches per-resource LP models across pin iterations instead of
-  /// rebuilding them.
-  bool Lp2Decompose = true;
+  /// work. Lp2Cache memoizes per-resource subproblem blocks across the
+  /// shape-refinement iterations; Lp2ReuseModels patches per-resource LP
+  /// models across pin iterations instead of rebuilding them. The
+  /// per-resource blocks of each pin round always run over the execution
+  /// policy.
   bool Lp2Cache = true;
   bool Lp2ReuseModels = true;
 };
@@ -97,10 +95,10 @@ struct PalmedStats {
   long CompleteLpPivots = 0;
   long LpWarmStartAttempts = 0;
   long LpWarmStartHits = 0;
-  /// Resource-coupling components of the final LP2 refit (1 = monolithic;
-  /// 0 = the refit never ran). A structural property of the shape, so it
-  /// is part of the Serial==Parallel bitwise stats contract.
-  long Lp2Components = 0;
+  /// Branch-and-bound nodes the LP1 shape searches visited, summed over
+  /// the refinement rounds (0 when the clique bound proved every greedy
+  /// shape optimal). Part of the Serial==Parallel bitwise stats contract.
+  size_t ShapeSearchNodes = 0;
   /// Resolved executor width the pipeline ran with (1 = serial). A thread
   /// counter, not a mapping outcome: it is the one stats field allowed to
   /// differ between Serial and Parallel runs (besides the *Seconds
@@ -139,7 +137,7 @@ struct CoreMappingResult {
 /// The staged pipeline. Not thread-safe: drive it from one thread (the
 /// CancellationToken may be flipped from any other thread). Move-only.
 /// Under a Parallel execution policy the pipeline owns internal worker
-/// threads for the stage-1/stage-3 fan-outs; observer callbacks may then
+/// threads for the fan-outs of all three stages; observer callbacks may then
 /// arrive from those workers under the contract documented in
 /// palmed/Observer.h, while mapping outcomes stay bit-identical to a
 /// serial run.

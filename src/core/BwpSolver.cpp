@@ -14,7 +14,6 @@
 #include <cassert>
 #include <cmath>
 #include <memory>
-#include <numeric>
 #include <string>
 
 using namespace palmed;
@@ -160,459 +159,378 @@ private:
     lp::VarId BalanceZ = -1;
     /// Constraint count of Balance without the CapZ tail row.
     size_t BalanceBase = 0;
-    /// Capacity rows shared by both models (the primary-floor row index).
-    size_t NumCapacityRows = 0;
   };
 
-  /// Partitions resources (and their kernels) into coupling components.
-  /// Each variable belongs to exactly one resource and each kernel only
-  /// reads/constrains/pins within its Supported set, so two resources
-  /// interact only when some kernel supports both: solving the union-find
-  /// components separately — in any order, or in parallel — reproduces
-  /// the monolithic interleaved pin loop bit for bit (a converged
-  /// component's objectives stop changing, so the monolithic loop's extra
-  /// passes over it are skipped as identical subproblems anyway).
-  /// \p Decompose false collapses everything into one pseudo-component,
-  /// which *is* the historical monolithic loop.
-  void buildComponents(bool Decompose,
-                       std::vector<std::vector<size_t>> &CompResources,
-                       std::vector<std::vector<size_t>> &CompKernels) const {
-    CompResources.clear();
-    CompKernels.clear();
-    if (!Decompose) {
-      CompResources.emplace_back(NumResources);
-      std::iota(CompResources.back().begin(), CompResources.back().end(),
-                size_t{0});
-      CompKernels.emplace_back(Rows.size());
-      std::iota(CompKernels.back().begin(), CompKernels.back().end(),
-                size_t{0});
-      return;
-    }
-    std::vector<size_t> Parent(NumResources);
-    std::iota(Parent.begin(), Parent.end(), size_t{0});
-    auto Find = [&](size_t R) {
-      while (Parent[R] != R) {
-        Parent[R] = Parent[Parent[R]];
-        R = Parent[R];
+  /// Per-resource view of the rows, fixed for one pinned solve. Each
+  /// variable belongs to exactly one resource by construction of the
+  /// callers; its block-local LP variable id is its position there.
+  struct BlockLayout {
+    /// Variables of each resource, in first-use order.
+    std::vector<std::vector<size_t>> Vars;
+    /// Kernels with a variable load on each resource (the block's
+    /// capacity rows), in kernel order.
+    std::vector<std::vector<size_t>> Kernels;
+    /// Block-local id of each variable.
+    std::vector<int> LocalOf;
+  };
+
+  BlockLayout buildLayout() const {
+    BlockLayout L;
+    L.Vars.resize(NumResources);
+    L.Kernels.resize(NumResources);
+    L.LocalOf.assign(NumVars, -1);
+    for (size_t K = 0; K < Rows.size(); ++K)
+      for (size_t R = 0; R < NumResources; ++R) {
+        if (Rows[K].VarLoad[R].empty())
+          continue;
+        L.Kernels[R].push_back(K);
+        for (const auto &[V, C] : Rows[K].VarLoad[R]) {
+          (void)C;
+          if (L.LocalOf[V] < 0) {
+            L.LocalOf[V] = static_cast<int>(L.Vars[R].size());
+            L.Vars[R].push_back(V);
+          }
+        }
       }
-      return R;
-    };
-    for (const KernelRow &Row : Rows)
-      for (size_t I = 1; I < Row.Supported.size(); ++I)
-        Parent[Find(Row.Supported[I])] = Find(Row.Supported[0]);
-    // Component ids in ascending order of their smallest resource, so the
-    // decomposition (and everything derived from it) is deterministic.
-    std::vector<int> CompId(NumResources, -1);
-    for (size_t R = 0; R < NumResources; ++R) {
-      size_t Root = Find(R);
-      if (CompId[Root] < 0) {
-        CompId[Root] = static_cast<int>(CompResources.size());
-        CompResources.emplace_back();
-        CompKernels.emplace_back();
+    return L;
+  }
+
+  /// Adds resource \p R's variables (ids = local ids) and capacity rows.
+  void addBlockRows(lp::Model &M, size_t R, const BlockLayout &L) const {
+    for (size_t V : L.Vars[R])
+      M.addVar(std::string(), 0.0, VarUpperBounds[V]);
+    for (size_t K : L.Kernels[R]) {
+      const KernelRow &Row = Rows[K];
+      lp::LinearExpr Load;
+      for (const auto &[V, C] : Row.VarLoad[R])
+        Load.add(L.LocalOf[V], C);
+      M.addConstraint(std::move(Load), lp::Sense::LE,
+                      std::max(0.0, Row.TMeas - Row.FrozenLoad[R]));
+    }
+  }
+
+  /// Saturation objective of resource \p R's block under \p Pins, in local
+  /// variable ids. The tie-break is kept out of it so the balancing pass
+  /// can preserve the saturation value exactly.
+  lp::LinearExpr pinnedObjective(size_t R, const std::vector<int> &Pins,
+                                 const BlockLayout &L) const {
+    lp::LinearExpr Obj;
+    for (size_t K : L.Kernels[R]) {
+      const KernelRow &Row = Rows[K];
+      if (Pins[K] == static_cast<int>(R)) {
+        for (const auto &[V, C] : Row.VarLoad[R])
+          Obj.add(L.LocalOf[V], C / Row.TMeas);
+      } else if (Pins[K] == -1) {
+        // Unpinned (first iteration): spread the objective across the
+        // kernel's supported resources.
+        double Scale = Row.TMeas * static_cast<double>(std::max<size_t>(
+                                       1, Row.Supported.size()));
+        for (const auto &[V, C] : Row.VarLoad[R])
+          Obj.add(L.LocalOf[V], C / Scale);
       }
-      CompResources[static_cast<size_t>(CompId[Root])].push_back(R);
     }
-    for (size_t K = 0; K < Rows.size(); ++K) {
-      if (Rows[K].Supported.empty())
-        continue; // No loads anywhere: contributes nothing to any solve.
-      CompKernels[static_cast<size_t>(CompId[Find(Rows[K].Supported[0])])]
-          .push_back(K);
+    Obj.normalize();
+    return Obj;
+  }
+
+  /// Digest of everything resource \p R's block solution depends on except
+  /// the pinned objective: bounds, scales, tie-break and capacity rows in
+  /// local numbering. The resource index is left out, so structurally
+  /// identical blocks of different resources share cache entries.
+  lp::StructuralDigest skeletonDigest(size_t R, const BlockLayout &L) const {
+    lp::StructuralDigest D;
+    D.addSize(L.Vars[R].size());
+    for (size_t V : L.Vars[R])
+      D.addDouble(VarUpperBounds[V]);
+    D.addU64(VarScales.empty() ? 0 : 1);
+    if (!VarScales.empty())
+      for (size_t V : L.Vars[R])
+        D.addDouble(VarScales[V]);
+    D.addDouble(TieBreak);
+    D.addSize(L.Kernels[R].size());
+    for (size_t K : L.Kernels[R]) {
+      const KernelRow &Row = Rows[K];
+      D.addSize(Row.VarLoad[R].size());
+      for (const auto &[V, C] : Row.VarLoad[R]) {
+        D.addInt(L.LocalOf[V]);
+        D.addDouble(C);
+      }
+      D.addDouble(std::max(0.0, Row.TMeas - Row.FrozenLoad[R]));
     }
+    return D;
+  }
+
+  /// Solves resource \p R's block for \p PinnedObj and writes its values
+  /// into \p Values. Returns false, leaving \p Values untouched, when the
+  /// primary LP fails. Reads only fixed state and touches only R's
+  /// variables and \p RM (R's reusable buffers, or null), so blocks of
+  /// different resources may solve concurrently.
+  bool solveBlock(size_t R, const lp::LinearExpr &PinnedObj,
+                  const BlockLayout &L, ResourceModels *RM,
+                  std::vector<double> &Values) const {
+    const std::vector<size_t> &RVars = L.Vars[R];
+    const size_t NumRowsR = L.Kernels[R].size();
+    lp::Model FreshPrimary;
+    lp::Model &M = RM ? RM->Primary : FreshPrimary;
+    if (!RM || !RM->PrimaryBuilt) {
+      addBlockRows(M, R, L);
+      if (RM)
+        RM->PrimaryBuilt = true;
+    }
+    lp::LinearExpr Obj = PinnedObj;
+    for (size_t I = 0; I < RVars.size(); ++I)
+      Obj.add(static_cast<lp::VarId>(I), TieBreak);
+    M.setObjective(std::move(Obj), lp::Goal::Maximize);
+    lp::Solution Sol = lp::solveLp(M, {}, compatLpOptions());
+    if (Sol.Status != lp::SolveStatus::Optimal)
+      return false;
+    if (!VarScales.empty()) {
+      // Balancing pass: the measured kernels often leave the split of a
+      // resource's capacity between instructions under-determined (any
+      // vertex of the optimal face fits). The dual's weights are uniform
+      // per resource (use/|J|), so among the optima prefer the most
+      // balanced one: fix the primary objective and minimize the largest
+      // scaled weight.
+      lp::Model FreshBalance;
+      lp::Model &M2 = RM ? RM->Balance : FreshBalance;
+      lp::VarId Z = -1;
+      if (RM && RM->BalanceBuilt) {
+        Z = RM->BalanceZ;
+        // Drop the previous iteration's CapZ tail; the rows and the
+        // primary-floor slot below survive verbatim.
+        M2.truncateConstraints(RM->BalanceBase);
+      } else {
+        addBlockRows(M2, R, L);
+        // Primary-objective floor: placeholder row at a stable index,
+        // patched (replaceConstraint) before every solve.
+        M2.addConstraint(lp::LinearExpr(), lp::Sense::GE, 0.0);
+        Z = M2.addVar("z", 0.0, lp::Infinity);
+        for (size_t V : RVars) {
+          lp::LinearExpr E;
+          E.add(L.LocalOf[V], VarScales[V]).add(Z, -1.0);
+          M2.addConstraint(std::move(E), lp::Sense::LE, 0.0);
+        }
+        if (RM) {
+          RM->BalanceBuilt = true;
+          RM->BalanceZ = Z;
+          RM->BalanceBase = M2.numConstraints();
+        }
+      }
+      // Keep the saturation-objective value (model M's variable ids
+      // coincide with local indices, as do M2's).
+      lp::LinearExpr Primary;
+      double PinnedValue = 0.0;
+      for (const auto &[V, C] : PinnedObj.terms()) {
+        Primary.add(V, C);
+        PinnedValue += C * Sol.value(V);
+      }
+      M2.replaceConstraint(NumRowsR, std::move(Primary), lp::Sense::GE,
+                           PinnedValue - 1e-9);
+      lp::LinearExpr Obj2;
+      Obj2.add(Z, 1.0);
+      M2.setObjective(std::move(Obj2), lp::Goal::Minimize);
+      lp::Solution Sol2 = lp::solveLp(M2, {}, compatLpOptions());
+      if (Sol2.Status == lp::SolveStatus::Optimal) {
+        // Third pass: with the saturation value and the balanced ceiling
+        // fixed, raise every weight to its consistent maximum (min-max
+        // alone leaves the non-binding weights at arbitrary vertices below
+        // the ceiling).
+        lp::LinearExpr CapZ;
+        CapZ.add(Z, 1.0);
+        M2.addConstraint(std::move(CapZ), lp::Sense::LE,
+                         Sol2.Objective + 1e-9);
+        lp::LinearExpr Obj3;
+        for (size_t V : RVars)
+          Obj3.add(L.LocalOf[V], 1.0);
+        M2.setObjective(std::move(Obj3), lp::Goal::Maximize);
+        lp::Solution Sol3 = lp::solveLp(M2, {}, compatLpOptions());
+        const lp::Solution &Fin =
+            Sol3.Status == lp::SolveStatus::Optimal ? Sol3 : Sol2;
+        for (size_t V : RVars)
+          Values[V] = Fin.value(L.LocalOf[V]);
+        return true;
+      }
+    }
+    for (size_t V : RVars)
+      Values[V] = Sol.value(L.LocalOf[V]);
+    return true;
   }
 
   /// Pinned mode exploits the BWP's structure: the capacity constraints
   /// sum weights *within* one resource only, and the pinned objective is a
-  /// sum of per-resource terms — so each pin iteration decomposes into one
-  /// small LP per resource, keeping the core problem tractable even with
-  /// thousands of kernels. On top of that per-resource split, the solve
-  /// decomposes into resource-coupling components (see buildComponents)
-  /// that run independently, optionally fanned over an Executor, and an
-  /// optional cross-call cache short-circuits blocks whose exact structure
-  /// was solved before.
+  /// sum of per-resource terms — so each pin round splits into one small
+  /// LP block per resource, keeping the core problem tractable even with
+  /// thousands of kernels. Pins change only between rounds, so the blocks
+  /// of one round are independent. A round runs in three steps:
+  ///  1. a serial probe pass builds each block's pinned objective, skips
+  ///     blocks whose objective did not change, and probes the optional
+  ///     cross-call cache; a block whose digest an earlier block of the
+  ///     same round will solve becomes that block's follower;
+  ///  2. the remaining blocks solve over Opts.Exec (inline when null);
+  ///  3. a serial pass publishes, in resource order, each block's cache
+  ///     entry and LP telemetry delta, and replays leaders' values into
+  ///     their followers.
+  /// Values, cache contents and telemetry equal those of solving the
+  /// blocks one at a time in resource order (where a follower hits the
+  /// entry its leader just published), at any executor width.
   std::vector<double> solvePinned(int MaxPinIterations, bool &Feasible,
                                   const BwpSolveOptions &Opts) {
     // Working pins; fixed pins are respected, free pins start unassigned.
     std::vector<int> Pins(Rows.size(), -1);
     for (size_t K = 0; K < Rows.size(); ++K)
       Pins[K] = Rows[K].Pin;
-
-    // Variables touching each resource (each variable belongs to exactly
-    // one resource by construction of the callers).
-    std::vector<std::vector<size_t>> ResourceVars(NumResources);
-    {
-      std::vector<bool> Seen(NumVars, false);
-      for (const KernelRow &Row : Rows)
-        for (size_t R = 0; R < NumResources; ++R)
-          for (const auto &[V, C] : Row.VarLoad[R]) {
-            (void)C;
-            if (!Seen[V]) {
-              Seen[V] = true;
-              ResourceVars[R].push_back(V);
-            }
-          }
-    }
+    const BlockLayout L = buildLayout();
 
     std::vector<double> Values(NumVars, 0.0);
-    // Per-resource objective of the last solved iteration: when a pin pass
+    // Per-resource objective of the last solved round: when a pin pass
     // leaves a resource's objective unchanged, its LP (and the balancing
     // passes) would reproduce the exact same solution — the solver is
-    // deterministic — so the solve is skipped and Values stay as-is.
+    // deterministic — so the block is skipped and Values stay as-is.
     std::vector<std::vector<std::pair<lp::VarId, double>>> PrevObj(
         NumResources);
     std::vector<uint8_t> HasPrev(NumResources, 0);
-
-    std::vector<std::vector<size_t>> CompResources, CompKernels;
-    buildComponents(Opts.Decompose, CompResources, CompKernels);
-    const size_t NumComps = CompResources.size();
-    const bool FanOut = Opts.Exec && NumComps > 1;
-    if (Opts.Stats) {
-      Opts.Stats->Components = static_cast<int>(NumComps);
-      Opts.Stats->Decomposed = FanOut;
-    }
-
-    // Per-resource scratch. Shared across components, but every component
-    // only touches its own resources, so all writes are disjoint (the
-    // index-slot discipline of the fan-out below).
     std::vector<std::unique_ptr<ResourceModels>> Models(NumResources);
+    if (Opts.ReuseModels)
+      for (size_t R = 0; R < NumResources; ++R)
+        Models[R] = std::make_unique<ResourceModels>();
     std::vector<lp::StructuralDigest> SkelDigest(NumResources);
-    std::vector<uint8_t> HasSkel(NumResources, 0);
+    if (Opts.Cache)
+      for (size_t R = 0; R < NumResources; ++R)
+        SkelDigest[R] = skeletonDigest(R, L);
 
-    // Solves one component to its own pin fixed point. Cache probes check
-    // \p Sink (the component's publish target) before \p Shared (the
-    // read-only pre-solve snapshot); a null \p Shared means \p Sink is
-    // probed alone. Returns false when any block failed to solve — the
-    // component then stops after the failing pass, like the monolithic
-    // loop. (With several components the others still run to their own
-    // fixed points; the divergence is benign because every caller
-    // discards the weights of an infeasible solve.)
-    auto RunComponent = [&](size_t CI, const BwpSubproblemCache *Shared,
-                            BwpSubproblemCache *Sink) -> bool {
-      // Component-local variable renumbering scratch, written and undone
-      // per block instead of re-allocated NumVars-wide on every solve.
-      std::vector<int> LocalOf(NumVars, -1);
-      const std::vector<size_t> &Resources = CompResources[CI];
-      const std::vector<size_t> &Kernels = CompKernels[CI];
-      for (int Iter = 0; Iter < MaxPinIterations; ++Iter) {
-        bool AllSolved = true;
-        for (size_t R : Resources) {
-          const std::vector<size_t> &RVars = ResourceVars[R];
-          if (RVars.empty())
-            continue;
-          for (size_t I = 0; I < RVars.size(); ++I)
-            LocalOf[RVars[I]] = static_cast<int>(I);
-          bool BlockSolved = [&]() -> bool {
-            // Saturation objective (pinned loads); the tie-break is kept
-            // in a separate expression so the balancing pass can preserve
-            // the saturation value exactly, without the tie-break
-            // distorting it. Local variable ids equal their position in
-            // ResourceVars[R].
-            lp::LinearExpr PinnedObj;
-            for (size_t K : Kernels) {
-              const KernelRow &Row = Rows[K];
-              if (Row.VarLoad[R].empty() && Row.FrozenLoad[R] == 0.0)
-                continue;
-              if (Pins[K] == static_cast<int>(R)) {
-                for (const auto &[V, C] : Row.VarLoad[R])
-                  PinnedObj.add(LocalOf[V], C / Row.TMeas);
-              } else if (Pins[K] == -1) {
-                // Unpinned (first iteration): spread the objective across
-                // the kernel's supported resources.
-                double Scale = Row.TMeas *
-                               static_cast<double>(
-                                   std::max<size_t>(1, Row.Supported.size()));
-                for (const auto &[V, C] : Row.VarLoad[R])
-                  PinnedObj.add(LocalOf[V], C / Scale);
-              }
-            }
-            PinnedObj.normalize();
-            if (HasPrev[R] && PrevObj[R] == PinnedObj.terms())
-              return true; // Identical subproblem: Values[.] already hold
-                           // its solution.
-
-            // Cache probe: the block digest covers everything the block's
-            // solution depends on (bounds, scales, tie-break, capacity
-            // rows in local numbering, pinned objective), so an exact hit
-            // replays the deterministic solver's output verbatim.
-            lp::StructuralDigest BlockDigest;
-            if (Opts.Cache) {
-              if (!HasSkel[R]) {
-                lp::StructuralDigest &D = SkelDigest[R];
-                D.addSize(RVars.size());
-                for (size_t V : RVars)
-                  D.addDouble(VarUpperBounds[V]);
-                D.addU64(VarScales.empty() ? 0 : 1);
-                if (!VarScales.empty())
-                  for (size_t V : RVars)
-                    D.addDouble(VarScales[V]);
-                D.addDouble(TieBreak);
-                size_t NumRowsR = 0;
-                for (size_t K : Kernels)
-                  if (!Rows[K].VarLoad[R].empty())
-                    ++NumRowsR;
-                D.addSize(NumRowsR);
-                for (size_t K : Kernels) {
-                  const KernelRow &Row = Rows[K];
-                  if (Row.VarLoad[R].empty())
-                    continue;
-                  D.addSize(Row.VarLoad[R].size());
-                  for (const auto &[V, C] : Row.VarLoad[R]) {
-                    D.addInt(LocalOf[V]);
-                    D.addDouble(C);
-                  }
-                  D.addDouble(std::max(0.0, Row.TMeas - Row.FrozenLoad[R]));
-                }
-                HasSkel[R] = 1;
-              }
-              BlockDigest = SkelDigest[R];
-              BlockDigest.addSize(PinnedObj.terms().size());
-              for (const auto &[V, C] : PinnedObj.terms()) {
-                BlockDigest.addInt(V);
-                BlockDigest.addDouble(C);
-              }
-              ++lp::lpTelemetry().WarmStartAttempts;
-              const lp::StructuralDigest::Value BD = BlockDigest.value();
-              const BwpSubproblemCache::Entry *Hit = Sink->find(BD);
-              if (!Hit && Shared)
-                Hit = Shared->find(BD);
-              if (Hit) {
-                assert(Hit->Values.size() == RVars.size());
-                ++lp::lpTelemetry().WarmStartHits;
-                for (size_t I = 0; I < RVars.size(); ++I)
-                  Values[RVars[I]] = Hit->Values[I];
-                PrevObj[R] = PinnedObj.terms();
-                HasPrev[R] = 1;
-                return true;
-              }
-            }
-            auto Publish = [&] {
-              if (!Opts.Cache)
-                return;
-              BwpSubproblemCache::Entry E;
-              E.Values.reserve(RVars.size());
-              for (size_t V : RVars)
-                E.Values.push_back(Values[V]);
-              Sink->insert(BlockDigest.value(), std::move(E));
-            };
-
-            lp::Model FreshPrimary;
-            lp::Model *MP = &FreshPrimary;
-            if (Opts.ReuseModels) {
-              if (!Models[R])
-                Models[R] = std::make_unique<ResourceModels>();
-              MP = &Models[R]->Primary;
-            }
-            lp::Model &M = *MP;
-            if (!Opts.ReuseModels || !Models[R]->PrimaryBuilt) {
-              size_t NumRowsR = 0;
-              // Variable ids coincide with local indices by construction.
-              for (size_t V : RVars)
-                M.addVar(std::string(), 0.0, VarUpperBounds[V]);
-              for (size_t K : Kernels) {
-                const KernelRow &Row = Rows[K];
-                if (Row.VarLoad[R].empty())
-                  continue;
-                lp::LinearExpr Load;
-                for (const auto &[V, C] : Row.VarLoad[R])
-                  Load.add(LocalOf[V], C);
-                M.addConstraint(std::move(Load), lp::Sense::LE,
-                                std::max(0.0, Row.TMeas - Row.FrozenLoad[R]));
-                ++NumRowsR;
-              }
-              if (Opts.ReuseModels) {
-                Models[R]->PrimaryBuilt = true;
-                Models[R]->NumCapacityRows = NumRowsR;
-              }
-            }
-            lp::LinearExpr Obj = PinnedObj;
-            for (size_t I = 0; I < RVars.size(); ++I)
-              Obj.add(static_cast<lp::VarId>(I), TieBreak);
-            M.setObjective(std::move(Obj), lp::Goal::Maximize);
-            lp::Solution Sol = lp::solveLp(M, {}, compatLpOptions());
-            if (Sol.Status != lp::SolveStatus::Optimal)
-              return false;
-            PrevObj[R] = PinnedObj.terms();
-            HasPrev[R] = 1;
-            if (!VarScales.empty()) {
-              // Balancing pass: the measured kernels often leave the
-              // split of a resource's capacity between instructions
-              // under-determined (any vertex of the optimal face fits).
-              // The dual's weights are uniform per resource (use/|J|), so
-              // among the optima prefer the most balanced one: fix the
-              // primary objective and minimize the largest scaled weight.
-              lp::Model FreshBalance;
-              lp::Model *M2P = &FreshBalance;
-              lp::VarId Z = -1;
-              size_t NumRowsR = 0;
-              bool Build = true;
-              if (Opts.ReuseModels) {
-                ResourceModels &RM = *Models[R];
-                M2P = &RM.Balance;
-                NumRowsR = RM.NumCapacityRows;
-                if (RM.BalanceBuilt) {
-                  Build = false;
-                  Z = RM.BalanceZ;
-                  // Drop the previous iteration's CapZ tail; the rows and
-                  // the primary-floor slot below survive verbatim.
-                  RM.Balance.truncateConstraints(RM.BalanceBase);
-                }
-              }
-              lp::Model &M2 = *M2P;
-              if (Build) {
-                NumRowsR = 0;
-                for (size_t V : RVars)
-                  M2.addVar(std::string(), 0.0, VarUpperBounds[V]);
-                // Re-add the capacity rows.
-                for (size_t K : Kernels) {
-                  const KernelRow &Row = Rows[K];
-                  if (Row.VarLoad[R].empty())
-                    continue;
-                  lp::LinearExpr Load;
-                  for (const auto &[V, C] : Row.VarLoad[R])
-                    Load.add(LocalOf[V], C);
-                  M2.addConstraint(std::move(Load), lp::Sense::LE,
-                                   std::max(0.0,
-                                            Row.TMeas - Row.FrozenLoad[R]));
-                  ++NumRowsR;
-                }
-                // Primary-objective floor: placeholder row at a stable
-                // index, patched (replaceConstraint) before every solve.
-                M2.addConstraint(lp::LinearExpr(), lp::Sense::GE, 0.0);
-                Z = M2.addVar("z", 0.0, lp::Infinity);
-                for (size_t V : RVars) {
-                  lp::LinearExpr E;
-                  E.add(LocalOf[V], VarScales[V]).add(Z, -1.0);
-                  M2.addConstraint(std::move(E), lp::Sense::LE, 0.0);
-                }
-                if (Opts.ReuseModels) {
-                  ResourceModels &RM = *Models[R];
-                  RM.BalanceBuilt = true;
-                  RM.BalanceZ = Z;
-                  RM.BalanceBase = M2.numConstraints();
-                  RM.NumCapacityRows = NumRowsR;
-                }
-              }
-              // Keep the saturation-objective value (model M's variable
-              // ids coincide with local indices, as do M2's).
-              lp::LinearExpr Primary;
-              double PinnedValue = 0.0;
-              for (const auto &[V, C] : PinnedObj.terms()) {
-                Primary.add(V, C);
-                PinnedValue += C * Sol.value(V);
-              }
-              M2.replaceConstraint(NumRowsR, std::move(Primary),
-                                   lp::Sense::GE, PinnedValue - 1e-9);
-              lp::LinearExpr Obj2;
-              Obj2.add(Z, 1.0);
-              M2.setObjective(std::move(Obj2), lp::Goal::Minimize);
-              lp::Solution Sol2 = lp::solveLp(M2, {}, compatLpOptions());
-              if (Sol2.Status == lp::SolveStatus::Optimal) {
-                // Third pass: with the saturation value and the balanced
-                // ceiling fixed, raise every weight to its consistent
-                // maximum (min-max alone leaves the non-binding weights
-                // at arbitrary vertices below the ceiling).
-                lp::LinearExpr CapZ;
-                CapZ.add(Z, 1.0);
-                M2.addConstraint(std::move(CapZ), lp::Sense::LE,
-                                 Sol2.Objective + 1e-9);
-                lp::LinearExpr Obj3;
-                for (size_t V : RVars)
-                  Obj3.add(LocalOf[V], 1.0);
-                M2.setObjective(std::move(Obj3), lp::Goal::Maximize);
-                lp::Solution Sol3 = lp::solveLp(M2, {}, compatLpOptions());
-                const lp::Solution &Fin =
-                    Sol3.Status == lp::SolveStatus::Optimal ? Sol3 : Sol2;
-                for (size_t V : RVars)
-                  Values[V] = Fin.value(LocalOf[V]);
-                Publish();
-                return true;
-              }
-            }
-            for (size_t V : RVars)
-              Values[V] = Sol.value(LocalOf[V]);
-            Publish();
-            return true;
-          }();
-          for (size_t V : RVars)
-            LocalOf[V] = -1;
-          if (!BlockSolved)
-            AllSolved = false;
-        }
-        if (!AllSolved)
-          return false;
-
-        // Re-derive pins for free kernels; stop at a fixed point.
-        bool Changed = false;
-        for (size_t K : Kernels) {
-          if (Rows[K].Pin != -1)
-            continue; // Fixed by the caller, or constraint-only.
-          const KernelRow &Row = Rows[K];
-          int BestR = -1;
-          double BestLoad = -1.0;
-          for (size_t R : Row.Supported) {
-            double L = load(Row, R, Values);
-            if (L > BestLoad + 1e-12) {
-              BestLoad = L;
-              BestR = static_cast<int>(R);
-            }
-          }
-          if (BestR != Pins[K]) {
-            Pins[K] = BestR;
-            Changed = true;
-          }
-        }
-        if (!Changed && Iter > 0)
-          break;
-      }
-      return true;
-    };
-
-    if (!FanOut) {
-      // Monolithic fallback (dense coupling / no executor / decomposition
-      // off): components run inline in index order against the shared
-      // cache directly.
-      bool All = true;
-      for (size_t CI = 0; CI < NumComps; ++CI)
-        if (!RunComponent(CI, nullptr, Opts.Cache))
-          All = false;
-      Feasible = All;
-      return Values;
-    }
-
-    // Component fan-out. Every task writes only index-slotted state (its
-    // own resources' Values/Models/digests, its own slot below), probes
-    // the shared cache read-only plus a component-local overlay, and
-    // parks its thread-local LP telemetry delta in its slot; the serial
-    // reduction then replays deltas and merges overlays in component
-    // order. Outcomes, stats, and cache contents are therefore
-    // bit-identical for any executor width, including width 1.
-    struct CompSlot {
+    struct Block {
+      size_t R = 0;
+      lp::LinearExpr Obj;
+      lp::StructuralDigest::Value Digest;
+      /// Block (index into the round) this one replays; -1 = solves.
+      long Leader = -1;
+      bool Ok = false;
       lp::LpTelemetry Tel;
-      BwpSubproblemCache Local;
-      uint8_t Ok = 0;
     };
-    std::vector<CompSlot> Slots(NumComps);
-    Opts.Exec->parallelFor(NumComps, [&](size_t CI, unsigned) {
-      lp::LpTelemetry &T = lp::lpTelemetry();
-      const lp::LpTelemetry Before = T;
-      CompSlot &S = Slots[CI];
-      S.Ok = RunComponent(CI, Opts.Cache, Opts.Cache ? &S.Local : nullptr)
-                 ? 1
-                 : 0;
-      S.Tel = telemetryDelta(T, Before);
-      T = Before; // Compensated: the reduction below re-applies the delta
-                  // on the calling thread, keeping the caller's
-                  // before/after telemetry bracketing exact.
-    });
-    bool All = true;
-    lp::LpTelemetry &T = lp::lpTelemetry();
-    for (size_t CI = 0; CI < NumComps; ++CI) {
-      CompSlot &S = Slots[CI];
-      All &= S.Ok != 0;
-      telemetryAdd(T, S.Tel);
-      if (Opts.Cache)
-        Opts.Cache->merge(std::move(S.Local));
+    auto Publish = [&](const Block &B) {
+      PrevObj[B.R] = B.Obj.terms();
+      HasPrev[B.R] = 1;
+      if (!Opts.Cache)
+        return;
+      BwpSubproblemCache::Entry E;
+      for (size_t V : L.Vars[B.R])
+        E.Values.push_back(Values[V]);
+      Opts.Cache->insert(B.Digest, std::move(E));
+    };
+
+    for (int Iter = 0; Iter < MaxPinIterations; ++Iter) {
+      // ---- Probe pass. ----
+      std::vector<Block> Blocks;
+      std::vector<size_t> ToSolve;
+      std::map<lp::StructuralDigest::Value, size_t> RoundLeader;
+      for (size_t R = 0; R < NumResources; ++R) {
+        const std::vector<size_t> &RVars = L.Vars[R];
+        if (RVars.empty())
+          continue;
+        Block B;
+        B.R = R;
+        B.Obj = pinnedObjective(R, Pins, L);
+        if (HasPrev[R] && PrevObj[R] == B.Obj.terms())
+          continue; // Identical subproblem: Values already hold it.
+        if (Opts.Cache) {
+          // The block digest covers everything the block's solution
+          // depends on, so an exact hit replays the deterministic
+          // solver's output verbatim.
+          lp::StructuralDigest D = SkelDigest[R];
+          D.addSize(B.Obj.terms().size());
+          for (const auto &[V, C] : B.Obj.terms()) {
+            D.addInt(V);
+            D.addDouble(C);
+          }
+          B.Digest = D.value();
+          ++lp::lpTelemetry().WarmStartAttempts;
+          if (const BwpSubproblemCache::Entry *Hit =
+                  Opts.Cache->find(B.Digest)) {
+            assert(Hit->Values.size() == RVars.size());
+            ++lp::lpTelemetry().WarmStartHits;
+            for (size_t I = 0; I < RVars.size(); ++I)
+              Values[RVars[I]] = Hit->Values[I];
+            PrevObj[R] = B.Obj.terms();
+            HasPrev[R] = 1;
+            continue;
+          }
+          auto [It, First] = RoundLeader.try_emplace(B.Digest, Blocks.size());
+          if (!First)
+            B.Leader = static_cast<long>(It->second);
+        }
+        if (B.Leader < 0)
+          ToSolve.push_back(Blocks.size());
+        Blocks.push_back(std::move(B));
+      }
+
+      // ---- Solve pass. ----
+      auto Solve = [&](size_t I, unsigned) {
+        Block &B = Blocks[ToSolve[I]];
+        lp::LpTelemetry &T = lp::lpTelemetry();
+        const lp::LpTelemetry Before = T;
+        B.Ok = solveBlock(B.R, B.Obj, L, Models[B.R].get(), Values);
+        B.Tel = telemetryDelta(T, Before);
+        T = Before; // Re-applied by the publish pass on this thread.
+      };
+      if (Opts.Exec)
+        Opts.Exec->parallelFor(ToSolve.size(), Solve);
+      else
+        for (size_t I = 0; I < ToSolve.size(); ++I)
+          Solve(I, 0);
+
+      // ---- Publish pass. ----
+      bool AllSolved = true;
+      for (Block &B : Blocks) {
+        if (B.Leader < 0) {
+          telemetryAdd(lp::lpTelemetry(), B.Tel);
+        } else if (const Block &Lead = Blocks[static_cast<size_t>(B.Leader)];
+                   Lead.Ok) {
+          // A hit on the entry the leader just published.
+          ++lp::lpTelemetry().WarmStartHits;
+          const std::vector<size_t> &From = L.Vars[Lead.R], &To = L.Vars[B.R];
+          for (size_t I = 0; I < To.size(); ++I)
+            Values[To[I]] = Values[From[I]];
+          PrevObj[B.R] = B.Obj.terms();
+          HasPrev[B.R] = 1;
+          continue;
+        } else {
+          // The leader failed and published nothing: solve this block.
+          B.Ok = solveBlock(B.R, B.Obj, L, Models[B.R].get(), Values);
+        }
+        if (B.Ok)
+          Publish(B);
+        else
+          AllSolved = false;
+      }
+      if (!AllSolved) {
+        Feasible = false;
+        return Values;
+      }
+
+      // Re-derive pins for free kernels; stop at a fixed point.
+      bool Changed = false;
+      for (size_t K = 0; K < Rows.size(); ++K) {
+        if (Rows[K].Pin != -1)
+          continue; // Fixed by the caller, or constraint-only.
+        const KernelRow &Row = Rows[K];
+        int BestR = -1;
+        double BestLoad = -1.0;
+        for (size_t R : Row.Supported) {
+          double Load = load(Row, R, Values);
+          if (Load > BestLoad + 1e-12) {
+            BestLoad = Load;
+            BestR = static_cast<int>(R);
+          }
+        }
+        if (BestR != Pins[K]) {
+          Pins[K] = BestR;
+          Changed = true;
+        }
+      }
+      if (!Changed && Iter > 0)
+        break;
     }
-    Feasible = All;
+    Feasible = true;
     return Values;
   }
 
@@ -682,12 +600,6 @@ void BwpSubproblemCache::insert(const lp::StructuralDigest::Value &D,
   if (Entries.size() >= MaxEntries)
     clear();
   Entries.try_emplace(D, std::move(E));
-}
-
-void BwpSubproblemCache::merge(BwpSubproblemCache &&Other) {
-  for (auto &[D, E] : Other.Entries)
-    insert(D, std::move(E));
-  Other.Entries.clear();
 }
 
 void BwpSubproblemCache::clear() { Entries.clear(); }

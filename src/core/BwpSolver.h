@@ -49,7 +49,8 @@ enum class BwpMode { Pinned, ExactMilp };
 /// by pointer identity (determinism lint). An exact hit replays the
 /// stored solution verbatim, which is bit-identical to re-solving because
 /// the compat solver is deterministic, and skips the LPs entirely. The
-/// index is an ordered map: lookups, inserts, and merges are deterministic
+/// index is an ordered map, and the pinned solve probes and inserts only
+/// from its calling thread, so lookups and inserts are deterministic
 /// regardless of thread count.
 class BwpSubproblemCache {
 public:
@@ -63,11 +64,6 @@ public:
   /// First insert wins; entries are immutable once published.
   void insert(const lp::StructuralDigest::Value &D, Entry E);
 
-  /// Deterministically folds \p Other in (first insert wins). Used to
-  /// publish per-component caches in component-index order after a
-  /// decomposed fan-out.
-  void merge(BwpSubproblemCache &&Other);
-
   size_t numEntries() const { return Entries.size(); }
   void clear();
 
@@ -80,33 +76,21 @@ private:
   std::map<lp::StructuralDigest::Value, Entry> Entries;
 };
 
-/// Outputs of one pinned solve, for stats plumbing.
-struct BwpSolveStats {
-  /// Resource-coupling components of the pinned decomposition (1 when the
-  /// problem is monolithic; 0 when the solve never ran or ran ExactMilp).
-  int Components = 0;
-  /// True when the per-component fan-out path ran (false = monolithic
-  /// fallback: dense coupling, decomposition disabled, or no executor).
-  bool Decomposed = false;
-};
-
 /// Knobs threaded through the pinned BWP solve. All combinations produce
 /// bit-identical weights; the knobs only trade work (see the equivalence
 /// tests in tests/lp2_test.cpp).
 struct BwpSolveOptions {
-  /// Fan target for per-component solves; null solves components inline.
+  /// Fan target for the per-resource blocks of each pin round; null
+  /// solves them inline. Must not be driven by another caller during the
+  /// solve (Executor is not reentrant).
   Executor *Exec = nullptr;
-  /// Cross-call block memo; null disables it.
-  /// During a fan-out each component probes the shared cache read-only
-  /// plus a component-local overlay, and overlays merge in component
-  /// order afterwards — hit patterns are scheduling-independent.
+  /// Cross-call block memo; null disables it. Probed and filled only by
+  /// the serial passes around each round's fan-out, in resource order, so
+  /// hit patterns are scheduling-independent.
   BwpSubproblemCache *Cache = nullptr;
   /// Reuse per-resource model buffers across pin iterations instead of
   /// reconstructing every lp::Model from scratch (row replace + truncate).
   bool ReuseModels = true;
-  /// Split the solve into independent resource-coupling components.
-  bool Decompose = true;
-  BwpSolveStats *Stats = nullptr;
 };
 
 /// A measured kernel entering a weight problem. \p PinnedResource fixes the
@@ -142,8 +126,8 @@ CoreWeights solveCoreWeights(const MappingShape &Shape,
                              BwpMode Mode, int MaxPinIterations = 6,
                              const std::vector<double> &SoloIpc = {});
 
-/// Overload threading the pinned-solve options (cache, decomposition,
-/// model reuse, executor) through the solve. The defaulted overload above
+/// Overload threading the pinned-solve options (cache, model reuse,
+/// executor) through the solve. The defaulted overload above
 /// is equivalent to passing default-constructed options.
 CoreWeights solveCoreWeights(const MappingShape &Shape,
                              const std::map<InstrId, size_t> &IndexOf,
@@ -165,7 +149,8 @@ struct AuxWeights {
 /// contain basic instructions and \p Inst.
 ///
 /// \p Options threads the pinned-solve knobs through. LPAUX solves run
-/// inside the stage-3 parallelFor, so a caller passing Options.Cache must
+/// inside the stage-3 parallelFor, so Options.Exec must stay null there
+/// (the executor is not reentrant), and a caller passing Options.Cache must
 /// scope it to one call (or one task): per-call caches keep the hit
 /// pattern — and hence the solve/pivot stats — independent of scheduling,
 /// which a cache shared across tasks would break. Symmetric resources

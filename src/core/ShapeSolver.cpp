@@ -139,11 +139,18 @@ public:
                   const ShareMatrix &Shares)
       : Constraints(Constraints), Shares(Shares) {}
 
-  MappingShape run() {
-    // Greedy first-fit incumbent.
+  /// Sets \p SearchNodes (when given) to the dfs nodes visited.
+  MappingShape run(size_t *SearchNodes) {
+    // Greedy first-fit incumbent. dfs only replaces it with a partition of
+    // strictly fewer groups, so when the clique bound already equals its
+    // size the search cannot change the result and is skipped.
     Best = greedy();
-    std::vector<Group> Groups;
-    dfs(0, Groups);
+    if (cliqueBound() < Best.size()) {
+      std::vector<Group> Groups;
+      dfs(0, Groups);
+    }
+    if (SearchNodes)
+      *SearchNodes = std::min(Nodes, MaxNodes);
     MappingShape Shape;
     for (const Group &G : Best)
       Shape.Resources.push_back(G.Required);
@@ -218,6 +225,40 @@ private:
     return Groups;
   }
 
+  /// Size of a greedy clique of pairwise-incompatible constraints: no two
+  /// of them can ever share a group (compatible() only gets stricter as a
+  /// group grows), so every partition needs at least that many groups.
+  /// The clique grows by the candidate with the most clashes among the
+  /// remaining candidates (lowest index on ties).
+  size_t cliqueBound() const {
+    const size_t N = Constraints.size();
+    std::vector<InstrIndexMask> Clash(N);
+    for (size_t I = 0; I < N; ++I) {
+      Group G;
+      absorb(G, Constraints[I]);
+      for (size_t J = I + 1; J < N; ++J)
+        if (!compatible(G, Constraints[J])) {
+          Clash[I].set(J);
+          Clash[J].set(I);
+        }
+    }
+    InstrIndexMask Candidates = InstrIndexMask::firstN(N);
+    size_t Size = 0;
+    while (Candidates.any()) {
+      size_t Pick = N, PickDegree = 0;
+      Candidates.forEachSetBit([&](size_t V) {
+        size_t Degree = (Clash[V] & Candidates).count();
+        if (Pick == N || Degree > PickDegree) {
+          Pick = V;
+          PickDegree = Degree;
+        }
+      });
+      ++Size;
+      Candidates &= Clash[Pick];
+    }
+    return Size;
+  }
+
   void dfs(size_t Index, std::vector<Group> &Groups) {
     if (++Nodes > MaxNodes)
       return; // Keep the incumbent; still a valid (greedy-or-better) shape.
@@ -255,52 +296,11 @@ private:
   static constexpr size_t MaxNodes = 2000000;
 };
 
-/// Exact digest of a simplified constraint system plus the share matrix —
-/// everything a shape solve depends on. Length-prefixed element lists keep
-/// adjacent fields from aliasing (see lp::StructuralDigest).
-lp::StructuralDigest::Value
-digestShapeProblem(const std::vector<ShapeConstraint> &Constraints,
-                   const ShareMatrix &Shares) {
-  lp::StructuralDigest D;
-  auto AddMask = [&D](const InstrIndexMask &M) {
-    D.addSize(M.count());
-    M.forEachSetBit([&D](size_t I) { D.addSize(I); });
-  };
-  D.addSize(Constraints.size());
-  for (const ShapeConstraint &C : Constraints) {
-    AddMask(C.Required);
-    AddMask(C.Forbidden);
-    D.addInt(C.Owner);
-  }
-  D.addSize(Shares.size());
-  for (const std::vector<ShareKind> &Row : Shares) {
-    D.addSize(Row.size());
-    for (ShareKind S : Row)
-      D.addU64(static_cast<uint64_t>(S));
-  }
-  return D.value();
-}
-
-/// Bounded thread-local memo for the (deterministic) shape solvers: the
-/// refinement loop occasionally re-derives a constraint system it already
-/// solved, and re-running the search would reproduce the identical shape.
-/// Thread-local because shape solves only ever run on the pipeline's
-/// driving thread — no cross-thread publication, so memo hits can never
-/// make outcomes or stats depend on scheduling. At the cap the whole memo
-/// is dropped (epoch clear), which only costs future misses.
-std::map<lp::StructuralDigest::Value, MappingShape> &shapeMemo() {
-  thread_local std::map<lp::StructuralDigest::Value, MappingShape> Memo;
-  constexpr size_t MaxEntries = 256;
-  if (Memo.size() >= MaxEntries)
-    Memo.clear();
-  return Memo;
-}
-
 } // namespace
 
 MappingShape
 palmed::solveShapeExact(const std::vector<ShapeConstraint> &Constraints,
-                        const ShareMatrix &Shares) {
+                        const ShareMatrix &Shares, size_t *SearchNodes) {
   std::vector<ShapeConstraint> Expanded =
       expandOwnerForbidden(Constraints, Shares);
   for (const ShapeConstraint &C : Expanded) {
@@ -309,17 +309,7 @@ palmed::solveShapeExact(const std::vector<ShapeConstraint> &Constraints,
     (void)C;
   }
   std::vector<ShapeConstraint> Simplified = simplifyConstraints(Expanded);
-  lp::StructuralDigest Key;
-  Key.addU64(0x45584143u); // Domain tag: exact search vs MILP.
-  lp::StructuralDigest::Value Problem = digestShapeProblem(Simplified, Shares);
-  Key.addU64(Problem.Lo);
-  Key.addU64(Problem.Hi);
-  auto &Memo = shapeMemo();
-  if (auto It = Memo.find(Key.value()); It != Memo.end())
-    return It->second;
-  MappingShape Shape = PartitionSearch(Simplified, Shares).run();
-  Memo.emplace(Key.value(), Shape);
-  return Shape;
+  return PartitionSearch(Simplified, Shares).run(SearchNodes);
 }
 
 MappingShape
@@ -397,20 +387,6 @@ palmed::solveShapeMilp(const std::vector<ShapeConstraint> &Constraints,
     Obj.add(U, 1.0);
   M.setObjective(std::move(Obj), lp::Goal::Minimize);
 
-  // Memo on the exact model fingerprint (plus the decode dimensions): an
-  // identical model re-solved by the deterministic branch-and-bound would
-  // reproduce the identical shape.
-  lp::StructuralDigest Key;
-  Key.addU64(0x4D494C50u); // Domain tag: MILP vs exact search.
-  lp::StructuralDigest::Value FP = lp::fingerprintModel(M);
-  Key.addU64(FP.Lo);
-  Key.addU64(FP.Hi);
-  Key.addSize(NumInstructions);
-  Key.addSize(MaxResources);
-  auto &Memo = shapeMemo();
-  if (auto It = Memo.find(Key.value()); It != Memo.end())
-    return It->second;
-
   lp::Solution Sol = lp::solveMilp(M);
   assert(Sol.ok() && "shape MILP must be feasible");
 
@@ -432,6 +408,5 @@ palmed::solveShapeMilp(const std::vector<ShapeConstraint> &Constraints,
                 return CA < CB;
               return A < B;
             });
-  Memo.emplace(Key.value(), Shape);
   return Shape;
 }

@@ -25,7 +25,10 @@
 ///    constraints into compatible groups — a group is satisfiable by one
 ///    resource iff the union of its Required sets avoids the union of its
 ///    Forbidden sets. This is the default; it is exact (up to a node
-///    budget) and fast at Palmed's sizes.
+///    budget) and fast at Palmed's sizes. The search starts from a greedy
+///    first-fit partition and is skipped when a clique of pairwise
+///    incompatible constraints (a lower bound on the group count) is as
+///    large as that partition, which proves it optimal.
 ///  * solveShapeMilp: the paper's 0/1 ILP formulation (witness variables
 ///    per constraint, resource-used indicators, symmetry breaking) solved
 ///    by the bundled branch-and-bound. Used by tests to certify the exact
@@ -138,9 +141,12 @@ simplifyConstraints(std::vector<ShapeConstraint> Constraints);
 /// individually satisfiable (Required and Forbidden disjoint). \p Shares
 /// gates which owner constraints may share a resource (two distinct owners
 /// need ShareKind::Full); pass an empty matrix to treat every pair as
-/// Partial (fully permissive).
+/// Partial (fully permissive). \p SearchNodes, when given, receives the
+/// number of branch-and-bound nodes visited (0 when the bound proved the
+/// greedy partition optimal).
 MappingShape solveShapeExact(const std::vector<ShapeConstraint> &Constraints,
-                             const ShareMatrix &Shares = {});
+                             const ShareMatrix &Shares = {},
+                             size_t *SearchNodes = nullptr);
 
 /// The ILP formulation solved with lp::solveMilp. \p MaxResources bounds
 /// the resource pool (use solveShapeExact's answer + slack, or a greedy

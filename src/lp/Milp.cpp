@@ -241,31 +241,3 @@ Solution lp::solveMilp(const Model &M, const MilpOptions &Options,
 }
 
 Solution lp::solveMilp(const Model &M) { return solveMilp(M, MilpOptions()); }
-
-lp::StructuralDigest::Value lp::fingerprintModel(const Model &M) {
-  StructuralDigest D;
-  D.addSize(M.numVars());
-  for (const Variable &V : M.vars()) {
-    D.addDouble(V.LowerBound);
-    D.addDouble(V.UpperBound);
-    D.addU64(V.IsInteger ? 1 : 0);
-  }
-  D.addSize(M.numConstraints());
-  for (const Constraint &C : M.constraints()) {
-    D.addSize(C.Expr.terms().size());
-    for (const auto &[Var, Coeff] : C.Expr.terms()) {
-      D.addInt(Var);
-      D.addDouble(Coeff);
-    }
-    D.addU64(static_cast<uint64_t>(C.Dir));
-    D.addDouble(C.Rhs);
-  }
-  D.addSize(M.objective().terms().size());
-  for (const auto &[Var, Coeff] : M.objective().terms()) {
-    D.addInt(Var);
-    D.addDouble(Coeff);
-  }
-  D.addDouble(M.objective().constant());
-  D.addU64(static_cast<uint64_t>(M.goal()));
-  return D.value();
-}

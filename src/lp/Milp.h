@@ -85,15 +85,6 @@ Solution solveMilp(const Model &M, const MilpOptions &Options,
 /// Convenience overload with default options.
 Solution solveMilp(const Model &M);
 
-/// Exact structural fingerprint of a model — variables (bounds,
-/// integrality), constraints (terms, sense, right-hand side), objective
-/// and goal, all by coefficient bit pattern with length-prefixed fields.
-/// Two models with equal fingerprints are byte-identical inputs to the
-/// (deterministic) solvers, so memoizing a solve on the fingerprint
-/// replays the exact solution. Names are deliberately excluded: they
-/// never influence a solve.
-StructuralDigest::Value fingerprintModel(const Model &M);
-
 } // namespace lp
 } // namespace palmed
 

@@ -116,7 +116,7 @@ struct Pipeline::Impl {
   const MachineModel &Machine;
   PalmedConfig Config;
 
-  /// Shared worker pool for the stage-1 and stage-3 fan-outs (width 1
+  /// Shared worker pool for the fan-outs of all three stages (width 1
   /// under the Serial policy, in which case everything runs inline).
   Executor Exec;
 
@@ -149,15 +149,13 @@ struct Pipeline::Impl {
   /// contract.
   BwpSubproblemCache CoreLpCache;
 
-  /// LP2 solve options for the stage-2 call sites (cache, decomposition,
-  /// model reuse, fan-out over the pipeline's executor).
-  BwpSolveOptions lp2Options(BwpSolveStats *Stats = nullptr) {
+  /// LP2 solve options for the stage-2 call sites (cache, model reuse,
+  /// per-resource blocks fanned over the pipeline's executor).
+  BwpSolveOptions lp2Options() {
     BwpSolveOptions O;
     O.Exec = &Exec;
     O.Cache = Config.Lp2Cache ? &CoreLpCache : nullptr;
     O.ReuseModels = Config.Lp2ReuseModels;
-    O.Decompose = Config.Lp2Decompose;
-    O.Stats = Stats;
     return O;
   }
 
@@ -366,7 +364,9 @@ void Pipeline::Impl::solveCoreMapping() {
     }
     Constraints =
         simplifyConstraints(expandOwnerForbidden(Constraints, Shares));
-    Shape = solveShapeExact(Constraints, Shares);
+    size_t SearchNodes = 0;
+    Shape = solveShapeExact(Constraints, Shares, &SearchNodes);
+    Result.Stats.ShapeSearchNodes += SearchNodes;
     for (const InstrIndexMask &Forced : ForcedResources)
       if (!std::count(Shape.Resources.begin(), Shape.Resources.end(),
                       Forced))
@@ -678,11 +678,8 @@ void Pipeline::Impl::solveCoreMapping() {
       }
     }
   }
-  BwpSolveStats FinalFit;
   Weights = solveCoreWeights(Shape, IndexOf, CoreKernels, Config.Mode,
-                             lp2Options(&FinalFit),
-                             /*MaxPinIterations=*/6, BasicIpc);
-  Result.Stats.Lp2Components = FinalFit.Components;
+                             lp2Options(), /*MaxPinIterations=*/6, BasicIpc);
   Sat = PickSaturating(Weights.Rho);
   Result.SaturatingKernels = Sat;
   Result.Stats.NumCoreKernels = CoreKernels.size();
@@ -824,9 +821,10 @@ void Pipeline::Impl::completeMapping() {
     const InstrId Inst = AuxInstrs[Idx];
     const lp::LpTelemetry TelBefore = lp::lpTelemetry();
 
+    // No executor: this already runs inside a parallelFor, and the
+    // executor is not reentrant.
     BwpSolveOptions AuxOpts;
     AuxOpts.ReuseModels = Config.Lp2ReuseModels;
-    AuxOpts.Decompose = Config.Lp2Decompose;
     Slots[Idx].Aux =
         solveAuxWeights(Shape, IndexOf, Weights.Rho, Inst, Slots[Idx].Kernels,
                         Config.Mode, /*MaxPinIterations=*/4, AuxOpts);

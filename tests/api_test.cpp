@@ -260,6 +260,7 @@ void expectBitIdenticalOutcome(const PalmedResult &A, const PalmedResult &B,
   EXPECT_EQ(A.Stats.NumMapped, B.Stats.NumMapped);
   EXPECT_EQ(A.Stats.NumCoreKernels, B.Stats.NumCoreKernels);
   EXPECT_EQ(A.Stats.NumShapeConstraints, B.Stats.NumShapeConstraints);
+  EXPECT_EQ(A.Stats.ShapeSearchNodes, B.Stats.ShapeSearchNodes);
   EXPECT_DOUBLE_EQ(A.Stats.CoreSlack, B.Stats.CoreSlack);
   EXPECT_EQ(A.Stats.CoreLpSolves, B.Stats.CoreLpSolves);
   EXPECT_EQ(A.Stats.CoreLpPivots, B.Stats.CoreLpPivots);

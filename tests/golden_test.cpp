@@ -8,7 +8,9 @@
 // tests compare two runs inside one binary, so a change that moves every
 // run alike (a solver edit, a compiler flag such as FP contraction, a new
 // -march level) passes them; these constants catch it. The skl, zen,
-// stress and huge values equal perfbench/goldens.json.
+// stress and huge values equal perfbench/goldens.json. Each map must also
+// skip every shape search (the clique bound proves each greedy shape
+// optimal), so losing the bound shows up as a count, not only as time.
 //
 // A deliberate mapping change updates the constants below and
 // perfbench/goldens.json together, from the digests the failing test
@@ -42,20 +44,24 @@ std::string hex64(uint64_t X) {
   return Buf;
 }
 
-/// Maps \p Machine with the default configuration (pair pruning as given)
-/// and checks the digest and resource count.
+/// Maps \p Machine with the default configuration (pair pruning and
+/// execution policy as given) and checks the digest, the resource count
+/// and that no shape search ran.
 void expectGolden(const MachineModel &Machine, bool PairPruning,
-                  const char *Digest, size_t Resources) {
+                  const char *Digest, size_t Resources,
+                  ExecutionPolicy Execution = ExecutionPolicy::serial()) {
   AnalyticOracle Oracle(Machine);
   BenchmarkRunner Runner(Machine, Oracle);
   PalmedConfig Cfg;
   Cfg.Selection.ClusterPairPruning = PairPruning;
+  Cfg.Execution = Execution;
   Pipeline P(Runner, Cfg);
   const PalmedResult &R = P.run();
   EXPECT_EQ(hex64(fnv1a64(serve::serializeMapping(R.Mapping, Machine))),
             Digest)
       << Machine.name() << " mapping digest";
   EXPECT_EQ(R.Stats.NumResources, Resources) << Machine.name();
+  EXPECT_EQ(R.Stats.ShapeSearchNodes, 0u) << Machine.name();
 }
 
 } // namespace
@@ -66,6 +72,11 @@ TEST(GoldenMapping, Fig1) {
 
 TEST(GoldenMapping, Skl) {
   expectGolden(makeSklLike(), false, "082c33c14f5f83dc", 40);
+}
+
+TEST(GoldenMapping, SklParallel4) {
+  expectGolden(makeSklLike(), false, "082c33c14f5f83dc", 40,
+               ExecutionPolicy::parallel(4));
 }
 
 TEST(GoldenMapping, Zen) {
@@ -81,4 +92,9 @@ TEST(GoldenMapping, Stress) {
 TEST(GoldenMapping, Huge) {
   expectGolden(makeStressMachine(hugeStressConfig()), true, "49d8c0ac925598fd",
                56);
+}
+
+TEST(GoldenMapping, HugeParallel4) {
+  expectGolden(makeStressMachine(hugeStressConfig()), true, "49d8c0ac925598fd",
+               56, ExecutionPolicy::parallel(4));
 }

@@ -1,14 +1,14 @@
-//===- tests/lp2_test.cpp - Warm-started, decomposed LP2 tests ------------===//
+//===- tests/lp2_test.cpp - Cached, parallel LP2 tests ---------------------===//
 //
 // Part of the PALMED reproduction.
 //
-// The stage-2 fit accepts solve-strategy knobs (BwpSolveOptions: component
-// decomposition, subproblem cache, model-buffer reuse, executor fan-out)
-// whose contract is that every combination produces bit-identical weights
-// — they only trade work. These tests pin that contract down, both on
-// direct solveCoreWeights calls (where pivot counts can be bracketed
-// exactly) and end-to-end through the pipeline on the shipped machine
-// profiles.
+// The stage-2 fit accepts solve-strategy knobs (BwpSolveOptions:
+// subproblem cache, model-buffer reuse, executor fan-out of the
+// per-resource blocks) whose contract is that every combination produces
+// bit-identical weights — they only trade work. These tests pin that
+// contract down, both on direct solveCoreWeights calls (where pivot counts
+// can be bracketed exactly) and end-to-end through the pipeline on the
+// shipped machine profiles.
 //
 //===----------------------------------------------------------------------===//
 
@@ -24,10 +24,11 @@ using namespace palmed;
 
 namespace {
 
-/// Two independent instruction pairs on disjoint resource pairs — the
-/// minimal problem with two coupling components. Instructions 10/20 play
-/// ADDSS/BSR on resources {R0 = both, R1 = instr 1} (the paper's running
-/// example), and instructions 30/40 mirror them on resources {R2, R3}.
+/// Two independent instruction pairs on disjoint resource pairs.
+/// Instructions 10/20 play ADDSS/BSR on resources {R0 = both, R1 = instr 1}
+/// (the paper's running example), and instructions 30/40 mirror them on
+/// resources {R2, R3}, so with a cache the blocks of R2/R3 replay the
+/// blocks of R0/R1 solved earlier in the same pin round.
 struct TwoComponentFixture {
   MappingShape Shape;
   std::map<InstrId, size_t> IndexOf = {{10, 0}, {20, 1}, {30, 2}, {40, 3}};
@@ -169,7 +170,7 @@ TEST(Lp2Digest, EmptyStreamsCollide) {
 // Subproblem cache semantics.
 //===----------------------------------------------------------------------===//
 
-TEST(Lp2Cache, FirstInsertWinsAndMergeIsOrdered) {
+TEST(Lp2Cache, FirstInsertWins) {
   lp::StructuralDigest D;
   D.addU64(7);
   const lp::StructuralDigest::Value K = D.value();
@@ -179,35 +180,12 @@ TEST(Lp2Cache, FirstInsertWinsAndMergeIsOrdered) {
   C.insert(K, {{2.0}}); // Ignored: entries are immutable once published.
   ASSERT_NE(C.find(K), nullptr);
   EXPECT_EQ(C.find(K)->Values[0], 1.0);
-
-  BwpSubproblemCache Overlay;
-  Overlay.insert(K, {{3.0}}); // Loses to the existing entry on merge.
-  C.merge(std::move(Overlay));
-  EXPECT_EQ(C.find(K)->Values[0], 1.0);
   EXPECT_EQ(C.numEntries(), 1u);
 }
 
 //===----------------------------------------------------------------------===//
 // Direct-solve equivalences (exact pivot accounting).
 //===----------------------------------------------------------------------===//
-
-TEST(Lp2Equivalence, DecomposeOnOffBitwise) {
-  TwoComponentFixture F;
-  lp::LpTelemetry On, Off;
-  BwpSolveOptions Decomposed;
-  Decomposed.Decompose = true;
-  BwpSolveOptions Monolithic;
-  Monolithic.Decompose = false;
-  CoreWeights WOn = solveWith(F, Decomposed, On);
-  CoreWeights WOff = solveWith(F, Monolithic, Off);
-  expectBitwiseEqual(WOn, WOff);
-  // With no cache in play the per-component fixpoints replay exactly the
-  // monolithic loop's solves (a converged component's objectives stop
-  // changing, so the monolithic loop skips them as identical
-  // subproblems).
-  EXPECT_EQ(On.Pivots, Off.Pivots);
-  EXPECT_EQ(On.Solves, Off.Solves);
-}
 
 TEST(Lp2Equivalence, ReuseModelsOnOffBitwise) {
   // The satellite bugfix: per-iteration lp::Model reconstruction replaced
@@ -248,25 +226,66 @@ TEST(Lp2Equivalence, CacheOnOffBitwiseValues) {
   EXPECT_LT(Replay.Pivots, Cold.Pivots);
 }
 
-TEST(Lp2Equivalence, ExecutorFanOutBitwise) {
-  // Decomposed solve fanned over a real two-worker executor vs inline:
-  // identical weights, identical telemetry (the fan-out compensates
-  // thread-local telemetry into index-ordered slots).
+namespace {
+
+void expectSameTelemetry(const lp::LpTelemetry &A, const lp::LpTelemetry &B) {
+  EXPECT_EQ(A.Solves, B.Solves);
+  EXPECT_EQ(A.Pivots, B.Pivots);
+  EXPECT_EQ(A.WarmStartAttempts, B.WarmStartAttempts);
+  EXPECT_EQ(A.WarmStartHits, B.WarmStartHits);
+}
+
+/// Per-resource blocks fanned over 2- and 4-worker executors vs inline,
+/// with and without the balancing passes: identical weights and identical
+/// telemetry (each block's thread-local telemetry delta is published on
+/// the calling thread). With \p WithCache each solve starts from an empty
+/// cache, and the mirrored blocks of R2/R3 replay those of R0/R1.
+void expectFanOutMatchesInline(bool WithCache) {
   TwoComponentFixture F;
-  lp::LpTelemetry Inline, Fanned;
-  BwpSolveOptions Serial;
-  CoreWeights WSerial = solveWith(F, Serial, Inline);
-  Executor Exec(2);
-  BwpSolveStats Stats;
-  BwpSolveOptions Parallel;
-  Parallel.Exec = &Exec;
-  Parallel.Stats = &Stats;
-  CoreWeights WParallel = solveWith(F, Parallel, Fanned);
-  expectBitwiseEqual(WParallel, WSerial);
-  EXPECT_EQ(Fanned.Pivots, Inline.Pivots);
-  EXPECT_EQ(Fanned.Solves, Inline.Solves);
-  EXPECT_EQ(Stats.Components, 2);
-  EXPECT_TRUE(Stats.Decomposed);
+  // Solves and pivots of one cold solve when the blocks run one at a time
+  // in resource order, without the cache; with it, 4 of the 8 block probes
+  // hit the entries their mirror published earlier in the same round, and
+  // half the work remains.
+  struct Case {
+    std::vector<double> SoloIpc;
+    long Solves, Pivots;
+  };
+  const Case Cases[] = {{{}, 8, 12}, {{2.0, 1.0, 2.0, 1.0}, 24, 74}};
+  for (const Case &C : Cases) {
+    const std::vector<double> &SoloIpc = C.SoloIpc;
+    BwpSubproblemCache InlineCache;
+    BwpSolveOptions Inline;
+    Inline.Cache = WithCache ? &InlineCache : nullptr;
+    lp::LpTelemetry InlineTel;
+    CoreWeights WInline = solveWith(F, Inline, InlineTel, SoloIpc);
+    EXPECT_EQ(InlineTel.Solves, WithCache ? C.Solves / 2 : C.Solves);
+    EXPECT_EQ(InlineTel.Pivots, WithCache ? C.Pivots / 2 : C.Pivots);
+    EXPECT_EQ(InlineTel.WarmStartAttempts, WithCache ? 8 : 0);
+    EXPECT_EQ(InlineTel.WarmStartHits, WithCache ? 4 : 0);
+    for (unsigned Workers : {2u, 4u}) {
+      SCOPED_TRACE(Workers);
+      Executor Exec(Workers);
+      BwpSubproblemCache FannedCache;
+      BwpSolveOptions Fanned = Inline;
+      Fanned.Exec = &Exec;
+      Fanned.Cache = WithCache ? &FannedCache : nullptr;
+      lp::LpTelemetry FannedTel;
+      CoreWeights WFanned = solveWith(F, Fanned, FannedTel, SoloIpc);
+      expectBitwiseEqual(WFanned, WInline);
+      expectSameTelemetry(FannedTel, InlineTel);
+      EXPECT_EQ(FannedCache.numEntries(), InlineCache.numEntries());
+    }
+  }
+}
+
+} // namespace
+
+TEST(Lp2Equivalence, ExecutorFanOutBitwise) {
+  expectFanOutMatchesInline(false);
+}
+
+TEST(Lp2Equivalence, ExecutorFanOutCachedBitwise) {
+  expectFanOutMatchesInline(true);
 }
 
 //===----------------------------------------------------------------------===//
@@ -282,7 +301,6 @@ struct ProfileRun {
   long CompletePivots = 0;
   long WarmAttempts = 0;
   long WarmHits = 0;
-  long Components = 0;
 };
 
 ProfileRun runProfile(const MachineModel &M, PalmedConfig Config) {
@@ -297,24 +315,28 @@ ProfileRun runProfile(const MachineModel &M, PalmedConfig Config) {
   Out.CompletePivots = R.Stats.CompleteLpPivots;
   Out.WarmAttempts = R.Stats.LpWarmStartAttempts;
   Out.WarmHits = R.Stats.LpWarmStartHits;
-  Out.Components = R.Stats.Lp2Components;
   return Out;
 }
 
-/// Decompose on vs off must agree bitwise on the mapping text (which
-/// carries the rho traces) and — with the cache off, so hit patterns
-/// cannot shift work — on the exact LP pivot counts.
+/// Each pin round decomposes into per-resource blocks, which a Parallel(4)
+/// pipeline solves concurrently. The decomposed schedule must agree with
+/// the serial one bitwise on the mapping text (which carries the rho
+/// traces) and exactly on the LP work counts, with the cache off and on.
 void checkDecomposeEquivalence(const MachineModel &M, PalmedConfig Config) {
-  Config.Lp2Cache = false;
-  PalmedConfig Mono = Config;
-  Mono.Lp2Decompose = false;
-  ProfileRun On = runProfile(M, Config);
-  ProfileRun Off = runProfile(M, Mono);
-  EXPECT_EQ(On.MappingText, Off.MappingText);
-  EXPECT_EQ(On.CoreSlack, Off.CoreSlack);
-  EXPECT_EQ(On.CorePivots, Off.CorePivots);
-  EXPECT_EQ(On.CompletePivots, Off.CompletePivots);
-  EXPECT_GE(On.Components, 1);
+  for (bool Cache : {false, true}) {
+    SCOPED_TRACE(Cache ? "cache on" : "cache off");
+    Config.Lp2Cache = Cache;
+    Config.Execution = ExecutionPolicy::serial();
+    ProfileRun Serial = runProfile(M, Config);
+    Config.Execution = ExecutionPolicy::parallel(4);
+    ProfileRun Par = runProfile(M, Config);
+    EXPECT_EQ(Par.MappingText, Serial.MappingText);
+    EXPECT_EQ(Par.CoreSlack, Serial.CoreSlack);
+    EXPECT_EQ(Par.CorePivots, Serial.CorePivots);
+    EXPECT_EQ(Par.CompletePivots, Serial.CompletePivots);
+    EXPECT_EQ(Par.WarmAttempts, Serial.WarmAttempts);
+    EXPECT_EQ(Par.WarmHits, Serial.WarmHits);
+  }
 }
 
 } // namespace
@@ -356,5 +378,4 @@ TEST(Lp2Pipeline, WarmVsColdBitwiseSkl) {
   EXPECT_EQ(C.WarmHits, 0);
   EXPECT_LT(W.CorePivots + W.CompletePivots,
             C.CorePivots + C.CompletePivots);
-  EXPECT_GE(W.Components, 1);
 }

@@ -11,6 +11,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <string>
 
 using namespace palmed;
 
@@ -394,3 +396,222 @@ TEST_P(ShapeProperty, ExactMatchesMilp) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ShapeProperty,
                          ::testing::Range(uint64_t{1}, uint64_t{25}));
+
+//===----------------------------------------------------------------------===//
+// Clique bound vs the unbounded search.
+//===----------------------------------------------------------------------===//
+
+namespace {
+namespace reference {
+
+// The exact search as it stood before the clique bound, copied verbatim
+// (less the node-count out-parameter): greedy first-fit, then a capped
+// branch-and-bound that only ever keeps partitions with strictly fewer
+// groups. The bounded solver must return its shapes byte for byte.
+
+bool ownersCompatible(int A, int B, const ShareMatrix &Shares) {
+  if (A < 0 || B < 0 || A == B)
+    return true;
+  if (Shares.empty())
+    return true; // Permissive mode.
+  return Shares[static_cast<size_t>(A)][static_cast<size_t>(B)] ==
+         ShareKind::Full;
+}
+
+class PartitionSearch {
+public:
+  PartitionSearch(const std::vector<ShapeConstraint> &Constraints,
+                  const ShareMatrix &Shares)
+      : Constraints(Constraints), Shares(Shares) {}
+
+  MappingShape run() {
+    // Greedy first-fit incumbent.
+    Best = greedy();
+    GreedySize = Best.size();
+    std::vector<Group> Groups;
+    dfs(0, Groups);
+    MappingShape Shape;
+    for (const Group &G : Best)
+      Shape.Resources.push_back(G.Required);
+    std::sort(Shape.Resources.begin(), Shape.Resources.end(),
+              [](const InstrIndexMask &A, const InstrIndexMask &B) {
+                size_t CA = A.count(), CB = B.count();
+                if (CA != CB)
+                  return CA < CB;
+                return A < B;
+              });
+    return Shape;
+  }
+
+  size_t GreedySize = 0;
+  bool hitCap() const { return Nodes > MaxNodes; }
+
+private:
+  struct Group {
+    InstrIndexMask Required;
+    InstrIndexMask Forbidden;
+    std::vector<int> Owners;
+  };
+
+  bool compatible(const Group &G, const ShapeConstraint &C) const {
+    if (G.Required.intersects(C.Forbidden) ||
+        C.Required.intersects(G.Forbidden) ||
+        C.Required.intersects(C.Forbidden))
+      return false;
+    if (C.Owner >= 0)
+      for (int O : G.Owners)
+        if (!ownersCompatible(O, C.Owner, Shares))
+          return false;
+    return true;
+  }
+
+  static bool absorbTracked(Group &G, const ShapeConstraint &C) {
+    G.Required |= C.Required;
+    G.Forbidden |= C.Forbidden;
+    if (C.Owner >= 0 &&
+        std::find(G.Owners.begin(), G.Owners.end(), C.Owner) ==
+            G.Owners.end()) {
+      G.Owners.push_back(C.Owner);
+      return true;
+    }
+    return false;
+  }
+
+  static void absorb(Group &G, const ShapeConstraint &C) {
+    (void)absorbTracked(G, C);
+  }
+
+  std::vector<Group> greedy() const {
+    std::vector<Group> Groups;
+    for (const ShapeConstraint &C : Constraints) {
+      bool Placed = false;
+      for (Group &G : Groups) {
+        if (compatible(G, C)) {
+          absorb(G, C);
+          Placed = true;
+          break;
+        }
+      }
+      if (!Placed) {
+        Group G;
+        absorb(G, C);
+        Groups.push_back(std::move(G));
+      }
+    }
+    return Groups;
+  }
+
+  void dfs(size_t Index, std::vector<Group> &Groups) {
+    if (++Nodes > MaxNodes)
+      return; // Keep the incumbent; still a valid (greedy-or-better) shape.
+    if (Groups.size() >= Best.size())
+      return; // Cannot improve.
+    if (Index == Constraints.size()) {
+      Best = Groups;
+      return;
+    }
+    const ShapeConstraint &C = Constraints[Index];
+    for (size_t G = 0; G < Groups.size(); ++G) {
+      if (!compatible(Groups[G], C))
+        continue;
+      InstrIndexMask SavedReq = Groups[G].Required;
+      InstrIndexMask SavedForb = Groups[G].Forbidden;
+      bool GrewOwners = absorbTracked(Groups[G], C);
+      dfs(Index + 1, Groups);
+      Groups[G].Required = SavedReq;
+      Groups[G].Forbidden = SavedForb;
+      if (GrewOwners)
+        Groups[G].Owners.pop_back();
+    }
+    // Open a new group (only as the last option to curb symmetry).
+    Group Fresh;
+    absorb(Fresh, C);
+    Groups.push_back(std::move(Fresh));
+    dfs(Index + 1, Groups);
+    Groups.pop_back();
+  }
+
+  const std::vector<ShapeConstraint> &Constraints;
+  const ShareMatrix &Shares;
+  std::vector<Group> Best;
+  size_t Nodes = 0;
+  static constexpr size_t MaxNodes = 2000000;
+};
+
+} // namespace reference
+
+/// A seeded random system over 4-48 basics: shared-all constraints over
+/// 2-4 members and owner constraints with 1-4 forbidden partners, with a
+/// random symmetric share matrix on odd seeds and none on even ones.
+std::pair<std::vector<ShapeConstraint>, ShareMatrix>
+randomShapeSystem(uint64_t Seed) {
+  Rng R(Seed);
+  const unsigned N = 4 + static_cast<unsigned>(R.uniformInt(45));
+  const unsigned NumCs = 4 + static_cast<unsigned>(R.uniformInt(N));
+  std::vector<ShapeConstraint> Cs;
+  for (unsigned C = 0; C < NumCs; ++C) {
+    ShapeConstraint S;
+    if (R.chance(0.4)) {
+      unsigned Count = 2 + static_cast<unsigned>(R.uniformInt(3));
+      while (S.Required.count() < Count)
+        S.Required.set(R.uniformInt(N));
+    } else {
+      unsigned Owner = static_cast<unsigned>(R.uniformInt(N));
+      S.Required = InstrIndexMask::bit(Owner);
+      S.Owner = static_cast<int>(Owner);
+      unsigned Others = 1 + static_cast<unsigned>(R.uniformInt(4));
+      for (unsigned O = 0; O < Others; ++O) {
+        unsigned X = static_cast<unsigned>(R.uniformInt(N));
+        if (X != Owner)
+          S.Forbidden.set(X);
+      }
+    }
+    Cs.push_back(S);
+  }
+  ShareMatrix Shares;
+  if (Seed % 2) {
+    const ShareKind Kinds[] = {ShareKind::Unknown, ShareKind::Additive,
+                               ShareKind::Partial, ShareKind::Full};
+    Shares.assign(N, std::vector<ShareKind>(N, ShareKind::Full));
+    for (unsigned I = 0; I < N; ++I)
+      for (unsigned J = I + 1; J < N; ++J)
+        Shares[I][J] = Shares[J][I] = Kinds[R.uniformInt(4)];
+  }
+  return {Cs, Shares};
+}
+
+std::string shapeText(const MappingShape &S) {
+  std::string Out;
+  for (const InstrIndexMask &R : S.Resources)
+    Out += R.str() + " ";
+  return Out;
+}
+
+} // namespace
+
+TEST(ShapeSolver, CliqueBoundKeepsUnboundedShapes) {
+  // The bound may only skip searches whose result it cannot change. The
+  // family must contain skipped searches, searches that beat greedy and
+  // searches that hit the node cap.
+  size_t Skipped = 0, BeatGreedy = 0, Capped = 0;
+  for (uint64_t Seed = 1; Seed <= 240; ++Seed) {
+    auto [Cs, Shares] = randomShapeSystem(Seed);
+    std::vector<ShapeConstraint> Simplified =
+        simplifyConstraints(expandOwnerForbidden(Cs, Shares));
+    reference::PartitionSearch Ref(Simplified, Shares);
+    MappingShape Want = Ref.run();
+    size_t Nodes = 0;
+    MappingShape Got = solveShapeExact(Cs, Shares, &Nodes);
+    ASSERT_EQ(Got.Resources, Want.Resources)
+        << "seed " << Seed << ": " << shapeText(Got) << "vs "
+        << shapeText(Want);
+    Skipped += Nodes == 0;
+    BeatGreedy += Want.numResources() < Ref.GreedySize;
+    Capped += Ref.hitCap();
+  }
+  std::printf("skipped %zu, beat greedy %zu, capped %zu\n", Skipped,
+              BeatGreedy, Capped);
+  EXPECT_GT(Skipped, 0u);
+  EXPECT_GT(BeatGreedy, 0u);
+  EXPECT_GT(Capped, 0u);
+}

@@ -310,9 +310,9 @@ int cmdMap(const Options &O) {
                R.Stats.SelectionSeconds + R.Stats.CoreMappingSeconds +
                    R.Stats.CompleteMappingSeconds);
   std::fprintf(stderr,
-               "LP2: %ld components, %ld/%ld warm-start hits (%.1f%% of "
-               "probes), %ld+%ld pivots\n",
-               R.Stats.Lp2Components, R.Stats.LpWarmStartHits,
+               "LP2: %zu shape-search nodes, %ld/%ld warm-start hits "
+               "(%.1f%% of probes), %ld+%ld pivots\n",
+               R.Stats.ShapeSearchNodes, R.Stats.LpWarmStartHits,
                R.Stats.LpWarmStartAttempts,
                R.Stats.LpWarmStartAttempts > 0
                    ? 100.0 * static_cast<double>(R.Stats.LpWarmStartHits) /
