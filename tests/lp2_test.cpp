@@ -32,10 +32,24 @@ namespace {
 struct TwoComponentFixture {
   MappingShape Shape;
   std::map<InstrId, size_t> IndexOf = {{10, 0}, {20, 1}, {30, 2}, {40, 3}};
+  /// First instruction of each pair; the second is Base + 10.
+  std::vector<InstrId> Bases = {10, 30};
 
   TwoComponentFixture() {
     Shape.Resources = {BitSet::fromWord(0b0011), BitSet::fromWord(0b0010),
                        BitSet::fromWord(0b1100), BitSet::fromWord(0b1000)};
+  }
+
+  /// Component \p C alone (0 = instructions 10/20, 1 = 30/40), as its own
+  /// two-resource problem: basic indices 0/1 on resources {R0 = both,
+  /// R1 = instr 1}.
+  static TwoComponentFixture component(size_t C) {
+    TwoComponentFixture F;
+    const InstrId Base = F.Bases[C];
+    F.Bases = {Base};
+    F.IndexOf = {{Base, 0}, {Base + 10, 1}};
+    F.Shape.Resources = {BitSet::fromWord(0b11), BitSet::fromWord(0b10)};
+    return F;
   }
 
   static Microkernel kernel(InstrId A, double MA, InstrId B, double MB) {
@@ -50,7 +64,7 @@ struct TwoComponentFixture {
   /// The paper-example measurement set, instantiated on both pairs.
   std::vector<WeightKernel> kernels() const {
     std::vector<WeightKernel> Out;
-    for (InstrId Base : {InstrId(10), InstrId(30)}) {
+    for (InstrId Base : Bases) {
       InstrId A = Base, B = Base + 10;
       Out.push_back({kernel(A, 2, B, 0), 2.0, -1});
       Out.push_back({kernel(A, 0, B, 1), 1.0, -1});
@@ -89,6 +103,13 @@ void expectBitwiseEqual(const CoreWeights &A, const CoreWeights &B) {
       EXPECT_EQ(A.Rho[I][R], B.Rho[I][R]) << "instr " << I << " res " << R;
   }
   EXPECT_EQ(A.TotalSlack, B.TotalSlack);
+}
+
+void expectSameTelemetry(const lp::LpTelemetry &A, const lp::LpTelemetry &B) {
+  EXPECT_EQ(A.Solves, B.Solves);
+  EXPECT_EQ(A.Pivots, B.Pivots);
+  EXPECT_EQ(A.WarmStartAttempts, B.WarmStartAttempts);
+  EXPECT_EQ(A.WarmStartHits, B.WarmStartHits);
 }
 
 } // namespace
@@ -187,6 +208,55 @@ TEST(Lp2Cache, FirstInsertWins) {
 // Direct-solve equivalences (exact pivot accounting).
 //===----------------------------------------------------------------------===//
 
+TEST(Lp2Equivalence, DecomposeOnOffBitwise) {
+  // The fixture solved as one problem vs each of its two components solved
+  // as its own: identical weights and exactly the same LP work, with and
+  // without the balancing passes and the cache. A component that reached
+  // its fixpoint keeps its objectives, so the joint pin loop skips its
+  // blocks as identical subproblems and replays only the per-component
+  // solves; with a cache shared by the two component solves, the second
+  // component's blocks hit the first's entries, as the mirrored blocks do
+  // inside one round of the joint solve.
+  const std::vector<double> JointSoloIpc[] = {{}, {2.0, 1.0, 2.0, 1.0}};
+  for (bool WithCache : {false, true}) {
+    for (const std::vector<double> &SoloIpc : JointSoloIpc) {
+      SCOPED_TRACE(WithCache ? "cache on" : "cache off");
+      SCOPED_TRACE(SoloIpc.empty() ? "unbalanced" : "balanced");
+      BwpSubproblemCache JointCache, SplitCache;
+      BwpSolveOptions Joint;
+      Joint.Cache = WithCache ? &JointCache : nullptr;
+      lp::LpTelemetry JointTel;
+      CoreWeights WJoint =
+          solveWith(TwoComponentFixture(), Joint, JointTel, SoloIpc);
+
+      BwpSolveOptions Split;
+      Split.Cache = WithCache ? &SplitCache : nullptr;
+      lp::LpTelemetry SplitTel;
+      CoreWeights WSplit;
+      WSplit.Rho.assign(4, std::vector<double>(4, 0.0));
+      for (size_t C = 0; C < 2; ++C) {
+        std::vector<double> PartSoloIpc;
+        if (!SoloIpc.empty())
+          PartSoloIpc = {SoloIpc[2 * C], SoloIpc[2 * C + 1]};
+        lp::LpTelemetry Tel;
+        CoreWeights W = solveWith(TwoComponentFixture::component(C), Split,
+                                  Tel, PartSoloIpc);
+        for (size_t I = 0; I < 2; ++I)
+          for (size_t R = 0; R < 2; ++R)
+            WSplit.Rho[2 * C + I][2 * C + R] = W.Rho[I][R];
+        WSplit.TotalSlack += W.TotalSlack;
+        SplitTel.Solves += Tel.Solves;
+        SplitTel.Pivots += Tel.Pivots;
+        SplitTel.WarmStartAttempts += Tel.WarmStartAttempts;
+        SplitTel.WarmStartHits += Tel.WarmStartHits;
+      }
+      expectBitwiseEqual(WSplit, WJoint);
+      expectSameTelemetry(SplitTel, JointTel);
+      EXPECT_EQ(SplitCache.numEntries(), JointCache.numEntries());
+    }
+  }
+}
+
 TEST(Lp2Equivalence, ReuseModelsOnOffBitwise) {
   // The satellite bugfix: per-iteration lp::Model reconstruction replaced
   // by row patching. Identical model content must mean identical pivots.
@@ -227,13 +297,6 @@ TEST(Lp2Equivalence, CacheOnOffBitwiseValues) {
 }
 
 namespace {
-
-void expectSameTelemetry(const lp::LpTelemetry &A, const lp::LpTelemetry &B) {
-  EXPECT_EQ(A.Solves, B.Solves);
-  EXPECT_EQ(A.Pivots, B.Pivots);
-  EXPECT_EQ(A.WarmStartAttempts, B.WarmStartAttempts);
-  EXPECT_EQ(A.WarmStartHits, B.WarmStartHits);
-}
 
 /// Per-resource blocks fanned over 2- and 4-worker executors vs inline,
 /// with and without the balancing passes: identical weights and identical
