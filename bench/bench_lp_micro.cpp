@@ -84,35 +84,17 @@ void BM_MilpKnapsack(benchmark::State &State) {
 }
 BENCHMARK(BM_MilpKnapsack);
 
-/// Branch-and-bound with child LPs warm-started from the parent basis vs
-/// every node re-solved cold; the per-benchmark counters report the pivot
-/// and warm-start traffic of one solve.
-void BM_MilpWarmStarted(benchmark::State &State) {
+/// Branch-and-bound on a 22-item, 4-row knapsack, every node LP solved
+/// cold; the counters report the nodes and node-LP pivots of one solve.
+void BM_MilpKnapsack4x22(benchmark::State &State) {
   lp::Model M = makeKnapsack(22, 4, 28.0);
-  lp::MilpOptions Options;
   lp::MilpStats Stats;
   for (auto _ : State)
-    benchmark::DoNotOptimize(lp::solveMilp(M, Options, &Stats));
-  State.counters["nodes"] = static_cast<double>(Stats.NodesExplored);
-  State.counters["pivots"] = static_cast<double>(Stats.LpPivots);
-  State.counters["warm_hit_pct"] =
-      Stats.WarmStartAttempts
-          ? 100.0 * Stats.WarmStartHits / Stats.WarmStartAttempts
-          : 0.0;
-}
-BENCHMARK(BM_MilpWarmStarted);
-
-void BM_MilpColdNodes(benchmark::State &State) {
-  lp::Model M = makeKnapsack(22, 4, 28.0);
-  lp::MilpOptions Options;
-  Options.UseWarmStart = false;
-  lp::MilpStats Stats;
-  for (auto _ : State)
-    benchmark::DoNotOptimize(lp::solveMilp(M, Options, &Stats));
+    benchmark::DoNotOptimize(lp::solveMilp(M, lp::MilpOptions(), &Stats));
   State.counters["nodes"] = static_cast<double>(Stats.NodesExplored);
   State.counters["pivots"] = static_cast<double>(Stats.LpPivots);
 }
-BENCHMARK(BM_MilpColdNodes);
+BENCHMARK(BM_MilpKnapsack4x22);
 
 /// The flow-LP oracle vs the closed-form dual on the same kernel: the
 /// paper's complexity argument in microseconds.

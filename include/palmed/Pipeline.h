@@ -57,15 +57,12 @@ struct PalmedConfig {
   /// bit-identical between Serial and any Parallel(N); see the observer
   /// threading contract in palmed/Observer.h.
   ExecutionPolicy Execution = ExecutionPolicy::serial();
-  /// Stage-2 LP2 solve strategy (see BwpSolveOptions in core/BwpSolver.h).
-  /// All combinations produce bit-identical mappings; the knobs only trade
-  /// work. Lp2Cache memoizes per-resource subproblem blocks across the
-  /// shape-refinement iterations; Lp2ReuseModels patches per-resource LP
-  /// models across pin iterations instead of rebuilding them. The
-  /// per-resource blocks of each pin round always run over the execution
-  /// policy.
+  /// Stage-2 LP2 block cache (see BwpSubproblemCache in core/BwpSolver.h):
+  /// memoizes per-resource subproblem blocks across the shape-refinement
+  /// iterations. On and off produce bit-identical mappings; the knob only
+  /// trades work. The per-resource blocks of each pin round always run
+  /// over the execution policy.
   bool Lp2Cache = true;
-  bool Lp2ReuseModels = true;
 };
 
 /// Run statistics (feeds the Table II reproduction).
@@ -87,8 +84,12 @@ struct PalmedStats {
   double CompleteMappingSeconds = 0.0;
   /// LP solver work during the two mapping stages (from lp::lpTelemetry):
   /// solve counts and simplex pivots for core mapping (LP2) and mapping
-  /// completion (LPAUX), plus warm-start traffic (nonzero only for code
-  /// paths that re-solve from a saved basis, e.g. branch-and-bound).
+  /// completion (LPAUX). LpWarmStartAttempts/Hits count cache probes and
+  /// hits (both zero with Lp2Cache off): LP2 blocks looked up in, or
+  /// replayed from, the block cache, and stage-3 instructions looked up
+  /// in, or deduplicated against, their measurement group. No LP is
+  /// warm-started; the field names are historical and kept for the tools
+  /// that read them.
   long CoreLpSolves = 0;
   long CoreLpPivots = 0;
   long CompleteLpSolves = 0;

@@ -13,31 +13,17 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <memory>
 #include <string>
 
 using namespace palmed;
 
 namespace {
 
-/// All pinned-mode BWP relaxations run the compat solver: the refinement
-/// loop and the saturating-kernel choice consume raw solution *vertices*
-/// (not just objective values), and degenerate optima make the vertex a
-/// function of the pivot sequence — pinning the historical sequence keeps
-/// mapping outcomes reproducible across solver generations.
-lp::SimplexOptions compatLpOptions() {
-  lp::SimplexOptions Options;
-  Options.Pricing = lp::LpPricing::Dantzig;
-  return Options;
-}
-
 lp::LpTelemetry telemetryDelta(const lp::LpTelemetry &Now,
                                const lp::LpTelemetry &Before) {
   lp::LpTelemetry D;
   D.Solves = Now.Solves - Before.Solves;
   D.Pivots = Now.Pivots - Before.Pivots;
-  D.DualPivots = Now.DualPivots - Before.DualPivots;
-  D.BoundFlips = Now.BoundFlips - Before.BoundFlips;
   D.WarmStartAttempts = Now.WarmStartAttempts - Before.WarmStartAttempts;
   D.WarmStartHits = Now.WarmStartHits - Before.WarmStartHits;
   return D;
@@ -46,8 +32,6 @@ lp::LpTelemetry telemetryDelta(const lp::LpTelemetry &Now,
 void telemetryAdd(lp::LpTelemetry &T, const lp::LpTelemetry &D) {
   T.Solves += D.Solves;
   T.Pivots += D.Pivots;
-  T.DualPivots += D.DualPivots;
-  T.BoundFlips += D.BoundFlips;
   T.WarmStartAttempts += D.WarmStartAttempts;
   T.WarmStartHits += D.WarmStartHits;
 }
@@ -144,13 +128,11 @@ private:
     }
   }
 
-  /// Reusable per-resource model buffers: the capacity rows of both the
-  /// primary and the balancing model never change within one pinned solve,
-  /// so each is built once per resource per call and only the objective
-  /// (and, for the balancing model, the primary-floor row and the CapZ
-  /// tail) is patched per pin iteration. This replaces the historical
-  /// from-scratch lp::Model reconstruction on every iteration, which
-  /// re-allocated identical variable/constraint storage each time.
+  /// Per-resource model buffers: the capacity rows of both the primary and
+  /// the balancing model never change within one pinned solve, so each is
+  /// built once per resource per call and only the objective (and, for the
+  /// balancing model, the primary-floor row and the CapZ tail) is patched
+  /// per pin iteration.
   struct ResourceModels {
     lp::Model Primary;
     bool PrimaryBuilt = false;
@@ -263,25 +245,23 @@ private:
   /// Solves resource \p R's block for \p PinnedObj and writes its values
   /// into \p Values. Returns false, leaving \p Values untouched, when the
   /// primary LP fails. Reads only fixed state and touches only R's
-  /// variables and \p RM (R's reusable buffers, or null), so blocks of
-  /// different resources may solve concurrently.
+  /// variables and \p RM (R's model buffers), so blocks of different
+  /// resources may solve concurrently.
   bool solveBlock(size_t R, const lp::LinearExpr &PinnedObj,
-                  const BlockLayout &L, ResourceModels *RM,
+                  const BlockLayout &L, ResourceModels &RM,
                   std::vector<double> &Values) const {
     const std::vector<size_t> &RVars = L.Vars[R];
     const size_t NumRowsR = L.Kernels[R].size();
-    lp::Model FreshPrimary;
-    lp::Model &M = RM ? RM->Primary : FreshPrimary;
-    if (!RM || !RM->PrimaryBuilt) {
+    lp::Model &M = RM.Primary;
+    if (!RM.PrimaryBuilt) {
       addBlockRows(M, R, L);
-      if (RM)
-        RM->PrimaryBuilt = true;
+      RM.PrimaryBuilt = true;
     }
     lp::LinearExpr Obj = PinnedObj;
     for (size_t I = 0; I < RVars.size(); ++I)
       Obj.add(static_cast<lp::VarId>(I), TieBreak);
     M.setObjective(std::move(Obj), lp::Goal::Maximize);
-    lp::Solution Sol = lp::solveLp(M, {}, compatLpOptions());
+    lp::Solution Sol = lp::solveLp(M);
     if (Sol.Status != lp::SolveStatus::Optimal)
       return false;
     if (!VarScales.empty()) {
@@ -291,31 +271,26 @@ private:
       // per resource (use/|J|), so among the optima prefer the most
       // balanced one: fix the primary objective and minimize the largest
       // scaled weight.
-      lp::Model FreshBalance;
-      lp::Model &M2 = RM ? RM->Balance : FreshBalance;
-      lp::VarId Z = -1;
-      if (RM && RM->BalanceBuilt) {
-        Z = RM->BalanceZ;
+      lp::Model &M2 = RM.Balance;
+      if (RM.BalanceBuilt) {
         // Drop the previous iteration's CapZ tail; the rows and the
         // primary-floor slot below survive verbatim.
-        M2.truncateConstraints(RM->BalanceBase);
+        M2.truncateConstraints(RM.BalanceBase);
       } else {
         addBlockRows(M2, R, L);
         // Primary-objective floor: placeholder row at a stable index,
         // patched (replaceConstraint) before every solve.
         M2.addConstraint(lp::LinearExpr(), lp::Sense::GE, 0.0);
-        Z = M2.addVar("z", 0.0, lp::Infinity);
+        RM.BalanceZ = M2.addVar("z", 0.0, lp::Infinity);
         for (size_t V : RVars) {
           lp::LinearExpr E;
-          E.add(L.LocalOf[V], VarScales[V]).add(Z, -1.0);
+          E.add(L.LocalOf[V], VarScales[V]).add(RM.BalanceZ, -1.0);
           M2.addConstraint(std::move(E), lp::Sense::LE, 0.0);
         }
-        if (RM) {
-          RM->BalanceBuilt = true;
-          RM->BalanceZ = Z;
-          RM->BalanceBase = M2.numConstraints();
-        }
+        RM.BalanceBuilt = true;
+        RM.BalanceBase = M2.numConstraints();
       }
+      const lp::VarId Z = RM.BalanceZ;
       // Keep the saturation-objective value (model M's variable ids
       // coincide with local indices, as do M2's).
       lp::LinearExpr Primary;
@@ -329,7 +304,7 @@ private:
       lp::LinearExpr Obj2;
       Obj2.add(Z, 1.0);
       M2.setObjective(std::move(Obj2), lp::Goal::Minimize);
-      lp::Solution Sol2 = lp::solveLp(M2, {}, compatLpOptions());
+      lp::Solution Sol2 = lp::solveLp(M2);
       if (Sol2.Status == lp::SolveStatus::Optimal) {
         // Third pass: with the saturation value and the balanced ceiling
         // fixed, raise every weight to its consistent maximum (min-max
@@ -343,7 +318,7 @@ private:
         for (size_t V : RVars)
           Obj3.add(L.LocalOf[V], 1.0);
         M2.setObjective(std::move(Obj3), lp::Goal::Maximize);
-        lp::Solution Sol3 = lp::solveLp(M2, {}, compatLpOptions());
+        lp::Solution Sol3 = lp::solveLp(M2);
         const lp::Solution &Fin =
             Sol3.Status == lp::SolveStatus::Optimal ? Sol3 : Sol2;
         for (size_t V : RVars)
@@ -389,10 +364,7 @@ private:
     std::vector<std::vector<std::pair<lp::VarId, double>>> PrevObj(
         NumResources);
     std::vector<uint8_t> HasPrev(NumResources, 0);
-    std::vector<std::unique_ptr<ResourceModels>> Models(NumResources);
-    if (Opts.ReuseModels)
-      for (size_t R = 0; R < NumResources; ++R)
-        Models[R] = std::make_unique<ResourceModels>();
+    std::vector<ResourceModels> Models(NumResources);
     std::vector<lp::StructuralDigest> SkelDigest(NumResources);
     if (Opts.Cache)
       for (size_t R = 0; R < NumResources; ++R)
@@ -468,7 +440,7 @@ private:
         Block &B = Blocks[ToSolve[I]];
         lp::LpTelemetry &T = lp::lpTelemetry();
         const lp::LpTelemetry Before = T;
-        B.Ok = solveBlock(B.R, B.Obj, L, Models[B.R].get(), Values);
+        B.Ok = solveBlock(B.R, B.Obj, L, Models[B.R], Values);
         B.Tel = telemetryDelta(T, Before);
         T = Before; // Re-applied by the publish pass on this thread.
       };
@@ -495,7 +467,7 @@ private:
           continue;
         } else {
           // The leader failed and published nothing: solve this block.
-          B.Ok = solveBlock(B.R, B.Obj, L, Models[B.R].get(), Values);
+          B.Ok = solveBlock(B.R, B.Obj, L, Models[B.R], Values);
         }
         if (B.Ok)
           Publish(B);

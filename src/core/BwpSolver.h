@@ -88,9 +88,6 @@ struct BwpSolveOptions {
   /// the serial passes around each round's fan-out, in resource order, so
   /// hit patterns are scheduling-independent.
   BwpSubproblemCache *Cache = nullptr;
-  /// Reuse per-resource model buffers across pin iterations instead of
-  /// reconstructing every lp::Model from scratch (row replace + truncate).
-  bool ReuseModels = true;
 };
 
 /// A measured kernel entering a weight problem. \p PinnedResource fixes the
@@ -126,9 +123,9 @@ CoreWeights solveCoreWeights(const MappingShape &Shape,
                              BwpMode Mode, int MaxPinIterations = 6,
                              const std::vector<double> &SoloIpc = {});
 
-/// Overload threading the pinned-solve options (cache, model reuse,
-/// executor) through the solve. The defaulted overload above
-/// is equivalent to passing default-constructed options.
+/// Overload threading the pinned-solve options (cache, executor) through
+/// the solve. The defaulted overload above is equivalent to passing
+/// default-constructed options.
 CoreWeights solveCoreWeights(const MappingShape &Shape,
                              const std::map<InstrId, size_t> &IndexOf,
                              const std::vector<WeightKernel> &Kernels,

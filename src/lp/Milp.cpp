@@ -2,11 +2,8 @@
 //
 // Part of the PALMED reproduction.
 //
-// Node bookkeeping: each node owns its relaxation solution and final basis,
-// indexed by a slot id carried on the best-first heap (no linear pool
-// scans). A child LP starts from its parent's basis; only the branching
-// variable's bound changed, so the bounded dual simplex usually restores
-// feasibility in a handful of pivots.
+// Node bookkeeping: each node owns its relaxation solution, indexed by a
+// slot id carried on the best-first heap (no linear pool scans).
 //
 //===----------------------------------------------------------------------===//
 
@@ -25,14 +22,13 @@ using namespace palmed::lp;
 namespace {
 
 /// A branch-and-bound node: the bound overrides defining its subproblem
-/// plus the relaxation solution and basis computed at creation time (each
-/// node solves its LP exactly once).
+/// plus the relaxation solution computed at creation time (each node
+/// solves its LP exactly once).
 struct Node {
   std::vector<BoundOverride> Overrides;
   double Bound = 0.0; ///< Relaxation objective (minimization-normalized).
   int Depth = 0;
   Solution Relax;
-  SimplexBasis Basis;
 };
 
 /// Heap entry referencing a pool slot; ordering mirrors the node fields so
@@ -104,12 +100,9 @@ Solution lp::solveMilp(const Model &M, const MilpOptions &Options,
   {
     Node Root;
     LpRunStats LS;
-    Solution RootSol =
-        solveLp(M, Root.Overrides, Options.Lp, nullptr, &Root.Basis, &LS);
+    Solution RootSol = solveLp(M, Root.Overrides, Options.Lp, &LS);
     ++S.LpSolves;
     S.LpPivots += LS.Pivots;
-    S.LpDualPivots += LS.DualPivots;
-    S.LpBoundFlips += LS.BoundFlips;
     if (RootSol.Status == SolveStatus::Infeasible ||
         RootSol.Status == SolveStatus::IterLimit) {
       return RootSol;
@@ -184,19 +177,10 @@ Solution lp::solveMilp(const Model &M, const MilpOptions &Options,
         Child.Overrides.push_back({Branch, NewLo, NewHi});
       Child.Depth = N.Depth + 1;
 
-      const SimplexBasis *Warm =
-          Options.UseWarmStart && !N.Basis.empty() ? &N.Basis : nullptr;
-      if (Warm)
-        ++S.WarmStartAttempts;
       LpRunStats LS;
-      Solution ChildSol =
-          solveLp(M, Child.Overrides, Options.Lp, Warm, &Child.Basis, &LS);
+      Solution ChildSol = solveLp(M, Child.Overrides, Options.Lp, &LS);
       ++S.LpSolves;
       S.LpPivots += LS.Pivots;
-      S.LpDualPivots += LS.DualPivots;
-      S.LpBoundFlips += LS.BoundFlips;
-      if (LS.WarmStarted)
-        ++S.WarmStartHits;
 
       if (ChildSol.Status == SolveStatus::Infeasible)
         return; // Genuinely pruned.

@@ -7,9 +7,9 @@
 /// \file
 /// Best-first branch-and-bound over the simplex relaxation. Used for
 /// Palmed's LP1 shape problem (0/1 edges) and the exact-MILP mode of the
-/// bipartite weight problem (LP2 / LPAUX argmax indicators). Child node
-/// relaxations are warm-started from the parent's final basis (the bounded
-/// dual simplex restores feasibility after the branching bound change).
+/// bipartite weight problem (LP2 / LPAUX argmax indicators). Every node
+/// relaxation is a cold two-phase solve of the model under the node's
+/// bound overrides.
 ///
 /// Status contract: SolveStatus::Optimal is returned only when the search
 /// tree was explored exhaustively — every pruned subtree was justified by
@@ -41,9 +41,6 @@ struct MilpOptions {
   double IntTolerance = 1e-6;
   /// Absolute optimality gap at which the search stops early.
   double AbsGap = 1e-7;
-  /// Warm-start child relaxations from the parent's final basis. Off is
-  /// only useful for testing and for comparing against cold solves.
-  bool UseWarmStart = true;
   SimplexOptions Lp;
 };
 
@@ -53,16 +50,8 @@ struct MilpStats {
   int Incumbents = 0;
   /// LP relaxations solved (root + children that were not pre-pruned).
   int LpSolves = 0;
-  /// Simplex pivots across all node LPs (primal + dual).
+  /// Simplex pivots across all node LPs.
   long LpPivots = 0;
-  /// Dual-simplex share of LpPivots (warm-start feasibility restores).
-  long LpDualPivots = 0;
-  /// Nonbasic bound flips across all node LPs.
-  long LpBoundFlips = 0;
-  /// Child LPs attempted with the parent's basis / accepted by the warm
-  /// path (a miss fell back to a cold solve).
-  int WarmStartAttempts = 0;
-  int WarmStartHits = 0;
   /// Subtrees dropped because a child relaxation hit its iteration limit.
   /// Any drop downgrades the final status (see the status contract above).
   int DroppedSubtrees = 0;

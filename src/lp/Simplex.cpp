@@ -1,24 +1,17 @@
-//===- lp/Simplex.cpp - Bounded-variable primal/dual simplex --------------===//
+//===- lp/Simplex.cpp - Two-phase primal simplex --------------------------===//
 //
 // Part of the PALMED reproduction.
 //
 // Implementation notes: variables are shifted by their (finite) lower bound
-// so the working variables live in [0, upper-lower]. Finite upper bounds are
-// handled implicitly: a nonbasic variable rests at either bound (bound flips
-// move it across without a pivot), so no explicit upper-bound rows are ever
-// materialized. Phase 1 minimizes the sum of artificial variables; phase 2
-// the user objective. Pricing is Devex with a Bland fallback after a
-// degenerate stall. Artificial columns are dead after phase 1: they are
-// never priced and never swept by phase-2 eliminations.
-//
-// Warm starts: the column numbering is stable across solves of the same
-// model (structural variables, then one slack id per row, then one
-// artificial id per row), so a final basis can seed a re-solve after bound
-// overrides change (branch-and-bound children; the bounded dual simplex
-// restores primal feasibility) or after the objective changes (BWP pin
-// iterations; the basis stays primal feasible and phase 1 is skipped).
-// Whenever the warm basis does not fit, the solver silently falls back to a
-// cold two-phase solve, so warm starts never change results, only work.
+// so the working variables live in [0, upper-lower], and every finite upper
+// bound is one explicit LE row. Rows are sign-normalized to a nonnegative
+// right-hand side; a row whose slack coefficient is not +1 gets an
+// artificial column for the initial basis. Phase 1 minimizes the sum of
+// artificials over all columns; phase 2 minimizes the (sign-adjusted) user
+// objective, and the artificial columns are dead there: never priced and
+// never swept. Every solve starts cold from the slack/artificial basis.
+// The "compat" names mark code that must stay compatible, value for value,
+// with the historical dense solver (see Simplex.h).
 //
 //===----------------------------------------------------------------------===//
 
@@ -40,164 +33,16 @@ LpTelemetry &lp::lpTelemetry() {
 
 namespace {
 
-enum class ColStatus : uint8_t { AtLower, AtUpper, Basic };
+enum class ColStatus : uint8_t { AtLower, Basic };
 
 constexpr size_t None = static_cast<size_t>(-1);
 
-/// Dense tableau over the physical columns actually materialized:
-/// [0, NumVars) structural, [NumVars, ArtStart) slacks for LE/GE rows, and
-/// [ArtStart, NumCols) artificials for the rows that need one to form the
-/// initial basis. Rhs holds the *actual value* of each row's basic variable
-/// (nonbasic-at-upper contributions folded in), except transiently during
-/// warm-basis replay where it is treated as a plain algebraic column.
-class Tableau {
-public:
-  size_t NumRows = 0;
-  size_t NumVars = 0;
-  size_t ArtStart = 0; ///< Live-column sweep bound: pricing and phase
-                       ///< eliminations never touch [ArtStart, NumCols).
-  size_t NumCols = 0;
+enum class PhaseResult { Optimal, Unbounded, IterLimit };
 
-  std::vector<double> Data; ///< NumRows x NumCols, row-major.
-  std::vector<double> Rhs;
-  std::vector<double> Cost;  ///< Reduced costs of the current phase.
-  std::vector<double> Upper; ///< Shifted upper bound (Infinity if none).
-  std::vector<ColStatus> Status;
-  std::vector<int> Basis;     ///< Per row: physical basic column.
-  std::vector<double> Weight; ///< Devex reference weights.
-
-  std::vector<int> SlackPhysOfRow; ///< -1 when the row has no slack column.
-  std::vector<int> ArtPhysOfRow;   ///< -1 when the row has no artificial.
-  std::vector<int> RowOfPhys;      ///< For cols >= NumVars: owning row.
-
-  double *row(size_t R) { return &Data[R * NumCols]; }
-  const double *row(size_t R) const { return &Data[R * NumCols]; }
-  double &at(size_t R, size_t C) { return Data[R * NumCols + C]; }
-  double at(size_t R, size_t C) const { return Data[R * NumCols + C]; }
-
-  int logicalOf(int Phys) const {
-    if (static_cast<size_t>(Phys) < NumVars)
-      return Phys;
-    size_t R = static_cast<size_t>(RowOfPhys[static_cast<size_t>(Phys)]);
-    bool IsArt = static_cast<size_t>(Phys) >= ArtStart;
-    return static_cast<int>(NumVars + (IsArt ? NumRows : 0) + R);
-  }
-
-  /// Maps a stable logical column id back to this instance's physical
-  /// column, or -1 when the column was not materialized.
-  int physOf(int Logical) const {
-    if (Logical < 0)
-      return -1;
-    size_t L = static_cast<size_t>(Logical);
-    if (L < NumVars)
-      return Logical;
-    if (L < NumVars + NumRows)
-      return SlackPhysOfRow[L - NumVars];
-    if (L < NumVars + 2 * NumRows)
-      return ArtPhysOfRow[L - NumVars - NumRows];
-    return -1;
-  }
-};
-
-/// Builds the tableau for \p M under effective bounds Lo/Hi. The initial
-/// basis is the slack of every row whose (sign-normalized) slack coefficient
-/// is +1, and an artificial elsewhere. Finite upper bounds stay implicit in
-/// Upper (nonbasic-at-upper statuses and bound flips), never rows.
-void buildTableau(Tableau &T, const Model &M, const std::vector<double> &Lo,
-                  const std::vector<double> &Hi) {
-  const size_t NumVars = M.numVars();
-  const size_t NumRows = M.numConstraints();
-  T.NumRows = NumRows;
-  T.NumVars = NumVars;
-
-  thread_local std::vector<double> EffRhs, RowSign, SlackCoeff;
-  thread_local std::vector<uint8_t> NeedArt;
-  EffRhs.assign(NumRows, 0.0);
-  RowSign.assign(NumRows, 1.0);
-  SlackCoeff.assign(NumRows, 0.0);
-  NeedArt.assign(NumRows, 0);
-
-  size_t NumSlack = 0;
-  for (size_t R = 0; R < NumRows; ++R) {
-    const Constraint &C = M.constraints()[R];
-    double Shift = 0.0;
-    for (const auto &[Var, Coeff] : C.Expr.terms())
-      Shift += Coeff * Lo[static_cast<size_t>(Var)];
-    double Rhs = C.Rhs - Shift;
-    if (Rhs < 0.0) {
-      Rhs = -Rhs;
-      RowSign[R] = -1.0;
-    }
-    EffRhs[R] = Rhs;
-    if (C.Dir != Sense::EQ) {
-      ++NumSlack;
-      SlackCoeff[R] = RowSign[R] * (C.Dir == Sense::LE ? 1.0 : -1.0);
-    }
-    NeedArt[R] = SlackCoeff[R] != 1.0;
-  }
-  T.ArtStart = NumVars + NumSlack;
-
-  T.SlackPhysOfRow.assign(NumRows, -1);
-  T.ArtPhysOfRow.assign(NumRows, -1);
-  size_t NextSlack = NumVars;
-  size_t NumArt = 0;
-  for (size_t R = 0; R < NumRows; ++R) {
-    if (SlackCoeff[R] != 0.0)
-      T.SlackPhysOfRow[R] = static_cast<int>(NextSlack++);
-    if (NeedArt[R])
-      T.ArtPhysOfRow[R] = static_cast<int>(T.ArtStart + NumArt++);
-  }
-  T.NumCols = T.ArtStart + NumArt;
-
-  // The tableau is thread_local scratch; keep capacity for the common
-  // stream of similarly-sized LPs but release it when one outsized solve
-  // would otherwise pin its allocation for the thread's lifetime.
-  size_t Need = NumRows * T.NumCols;
-  if (T.Data.capacity() > (size_t{1} << 20) &&
-      T.Data.capacity() > 8 * Need) {
-    T.Data.clear();
-    T.Data.shrink_to_fit();
-  }
-  T.Data.assign(Need, 0.0);
-  T.Rhs.assign(NumRows, 0.0);
-  T.Upper.assign(T.NumCols, Infinity);
-  T.Status.assign(T.NumCols, ColStatus::AtLower);
-  T.Basis.assign(NumRows, -1);
-  T.RowOfPhys.assign(T.NumCols, -1);
-
-  for (size_t V = 0; V < NumVars; ++V)
-    T.Upper[V] = std::isfinite(Hi[V]) ? Hi[V] - Lo[V] : Infinity;
-
-  for (size_t R = 0; R < NumRows; ++R) {
-    const Constraint &C = M.constraints()[R];
-    for (const auto &[Var, Coeff] : C.Expr.terms())
-      T.at(R, static_cast<size_t>(Var)) += RowSign[R] * Coeff;
-    T.Rhs[R] = EffRhs[R];
-    if (T.SlackPhysOfRow[R] >= 0) {
-      size_t S = static_cast<size_t>(T.SlackPhysOfRow[R]);
-      T.at(R, S) = SlackCoeff[R];
-      T.RowOfPhys[S] = static_cast<int>(R);
-    }
-    if (T.ArtPhysOfRow[R] >= 0) {
-      size_t A = static_cast<size_t>(T.ArtPhysOfRow[R]);
-      T.at(R, A) = 1.0;
-      T.RowOfPhys[A] = static_cast<int>(R);
-      T.Basis[R] = static_cast<int>(A);
-      T.Status[A] = ColStatus::Basic;
-    } else {
-      size_t S = static_cast<size_t>(T.SlackPhysOfRow[R]);
-      T.Basis[R] = static_cast<int>(S);
-      T.Status[S] = ColStatus::Basic;
-    }
-  }
-}
-
-enum class PhaseResult { Optimal, Unbounded, IterLimit, Infeasible };
-
-/// Column-compressed compat tableau. Palmed's compat-mode LPs are extreme
-/// in one dimension: the core BWP subproblems have thousands of capacity
-/// rows but only a few dozen structural variables, so nearly every column
-/// of a dense NumRows x NumCols tableau has a single nonzero. This tableau
+/// Column-compressed compat tableau. Palmed's LPs are extreme in one
+/// dimension: the core BWP subproblems have thousands of capacity rows but
+/// only a few dozen structural variables, so nearly every column of a
+/// dense NumRows x NumCols tableau has a single nonzero. This tableau
 /// stores a column densely (column-major, in a slot) only while it may have
 /// more than one; every other column is *implicit*: value ImplicitVal in
 /// row ImplicitRow, zero elsewhere. Slack and artificial columns start
@@ -208,7 +53,7 @@ enum class PhaseResult { Optimal, Unbounded, IterLimit, Infeasible };
 /// goes back on the free list at once. Basic columns are therefore always
 /// implicit, and the stored columns are the few dozen nonbasic ones that
 /// some pivot has touched. All bookkeeping (Cost, Status, Basis, physical
-/// column numbering) matches the dense compat tableau exactly, so pivot
+/// column numbering) matches the historical dense tableau exactly, so pivot
 /// selection and pivot arithmetic are value-for-value identical; only the
 /// storage of zeros changed.
 class CompatTableau {
@@ -236,7 +81,6 @@ public:
 
   std::vector<int> SlackPhysOfRow;
   std::vector<int> ArtPhysOfRow;
-  std::vector<int> RowOfPhys; ///< For cols >= NumVars: owning row.
 
   double *col(size_t S) { return &Cols[S * NumRows]; }
   double at(size_t R, size_t C) const {
@@ -272,14 +116,6 @@ public:
     SlotOfPhys[C] = -1;
     ImplicitRow[C] = static_cast<int>(R);
     ImplicitVal[C] = 1.0;
-  }
-
-  int logicalOf(int Phys) const {
-    if (static_cast<size_t>(Phys) < NumVars)
-      return Phys;
-    size_t R = static_cast<size_t>(RowOfPhys[static_cast<size_t>(Phys)]);
-    bool IsArt = static_cast<size_t>(Phys) >= ArtStart;
-    return static_cast<int>(NumVars + (IsArt ? NumRows : 0) + R);
   }
 };
 
@@ -348,9 +184,9 @@ void buildCompat(CompatTableau &T, const Model &M,
   T.NumCols = T.ArtStart + NumArt;
 
   // Structural columns are always materialized; slack/artificial columns
-  // start implicit. The slot pool is thread_local scratch like the dense
-  // tableau's Data; trim it when one outsized solve would otherwise pin the
-  // allocation.
+  // start implicit. The slot pool is thread_local scratch, reused across
+  // the stream of similarly sized LPs; trim it when one outsized solve would
+  // otherwise pin the allocation for the thread's lifetime.
   size_t Need = NumRows * (NumVars + 64);
   if (T.Cols.capacity() > (size_t{1} << 20) && T.Cols.capacity() > 8 * Need) {
     T.Cols.clear();
@@ -369,7 +205,6 @@ void buildCompat(CompatTableau &T, const Model &M,
   T.Rhs.assign(NumRows, 0.0);
   T.Status.assign(T.NumCols, ColStatus::AtLower);
   T.Basis.assign(NumRows, -1);
-  T.RowOfPhys.assign(T.NumCols, -1);
   T.CostRhs = 0.0;
 
   for (size_t R = 0; R < NumRows; ++R) {
@@ -383,12 +218,12 @@ void buildCompat(CompatTableau &T, const Model &M,
     T.Rhs[R] = EffRhs[R];
     if (T.SlackPhysOfRow[R] >= 0) {
       size_t S = static_cast<size_t>(T.SlackPhysOfRow[R]);
-      T.ImplicitRow[S] = T.RowOfPhys[S] = static_cast<int>(R);
+      T.ImplicitRow[S] = static_cast<int>(R);
       T.ImplicitVal[S] = SlackCoeff[R];
     }
     if (T.ArtPhysOfRow[R] >= 0) {
       size_t A = static_cast<size_t>(T.ArtPhysOfRow[R]);
-      T.ImplicitRow[A] = T.RowOfPhys[A] = static_cast<int>(R);
+      T.ImplicitRow[A] = static_cast<int>(R);
       T.ImplicitVal[A] = 1.0;
       T.Basis[R] = static_cast<int>(A);
       T.Status[A] = ColStatus::Basic;
@@ -546,13 +381,11 @@ PhaseResult runCompat(CompatTableau &T, const SimplexOptions &Options,
 }
 
 /// Full compat-mode solve: the historical two-phase dense solver,
-/// value-for-value, over the column-compressed tableau. Warm starts are
-/// ignored in this mode (see LpPricing::Dantzig); the cost of a cold solve
-/// is what the compression attacks.
+/// value-for-value, over the column-compressed tableau. Every solve is
+/// cold; its cost is what the compression attacks.
 Solution solveCompatLp(const Model &M, const std::vector<double> &Lo,
                        const std::vector<double> &Hi,
-                       const SimplexOptions &Options, LpRunStats &RS,
-                       SimplexBasis *FinalBasis) {
+                       const SimplexOptions &Options, LpRunStats &RS) {
   const double Tol = Options.Tolerance;
   const size_t NumVars = M.numVars();
   LpTelemetry &Tel = lpTelemetry();
@@ -674,452 +507,18 @@ Solution solveCompatLp(const Model &M, const std::vector<double> &Lo,
   }
   Result.Objective = M.objective().evaluate(Result.Values);
   Result.Status = SolveStatus::Optimal;
-
-  if (FinalBasis) {
-    FinalBasis->BasicCols.resize(NumRows);
-    for (size_t R = 0; R < NumRows; ++R)
-      FinalBasis->BasicCols[R] = T.logicalOf(T.Basis[R]);
-    FinalBasis->AtUpper.assign(NumVars, 0);
-  }
   return Result;
-}
-
-/// Executes the basis change for entering column \p Q moving by step \p T0
-/// in direction \p Dir (+1 from lower, -1 from upper), pivoting in row
-/// \p PR; the leaving variable becomes nonbasic at \p LeaveAt. Rhs keeps
-/// actual-value semantics throughout.
-void applyPivot(Tableau &T, size_t PR, size_t Q, int Dir, double T0,
-                ColStatus LeaveAt) {
-  for (size_t R = 0; R < T.NumRows; ++R) {
-    if (R == PR)
-      continue;
-    double A = T.at(R, Q);
-    if (A != 0.0)
-      T.Rhs[R] -= Dir * A * T0;
-  }
-  double NewVal = Dir > 0 ? T0 : T.Upper[Q] - T0;
-
-  int Leaving = T.Basis[PR];
-  T.Status[static_cast<size_t>(Leaving)] = LeaveAt;
-
-  double *PRow = T.row(PR);
-  double Inv = 1.0 / PRow[Q];
-  for (size_t C = 0; C < T.ArtStart; ++C)
-    PRow[C] *= Inv;
-  PRow[Q] = 1.0;
-  for (size_t R = 0; R < T.NumRows; ++R) {
-    if (R == PR)
-      continue;
-    double *Other = T.row(R);
-    double Factor = Other[Q];
-    if (Factor == 0.0)
-      continue;
-    for (size_t C = 0; C < T.ArtStart; ++C)
-      Other[C] -= Factor * PRow[C];
-    Other[Q] = 0.0;
-  }
-  double Factor = T.Cost[Q];
-  if (Factor != 0.0) {
-    for (size_t C = 0; C < T.ArtStart; ++C)
-      T.Cost[C] -= Factor * PRow[C];
-    T.Cost[Q] = 0.0;
-  }
-  T.Basis[PR] = static_cast<int>(Q);
-  T.Status[Q] = ColStatus::Basic;
-  T.Rhs[PR] = NewVal;
-}
-
-/// Devex reference-weight update; must run on the pre-elimination pivot row.
-void devexUpdate(Tableau &T, size_t PR, size_t Q) {
-  const double *PRow = T.row(PR);
-  double AQ = PRow[Q];
-  double WQ = T.Weight[Q] / (AQ * AQ);
-  for (size_t C = 0; C < T.ArtStart; ++C) {
-    if (C == Q || T.Status[C] == ColStatus::Basic)
-      continue;
-    double A = PRow[C];
-    if (A == 0.0)
-      continue;
-    double Cand = A * A * WQ;
-    if (Cand > T.Weight[C])
-      T.Weight[C] = Cand;
-  }
-  T.Weight[static_cast<size_t>(T.Basis[PR])] = std::max(WQ, 1.0);
-  // Reset the reference framework when weights explode.
-  if (WQ > 1e10)
-    std::fill(T.Weight.begin(), T.Weight.end(), 1.0);
-}
-
-/// Bounded-variable primal simplex on the current cost row.
-PhaseResult runPrimal(Tableau &T, const SimplexOptions &Options,
-                      LpRunStats &RS) {
-  const double Tol = Options.Tolerance;
-  LpTelemetry &Tel = lpTelemetry();
-  T.Weight.assign(T.NumCols, 1.0);
-  int Stall = 0;
-  bool UseBland = false;
-
-  for (int Iter = 0; Iter < Options.MaxIterations; ++Iter) {
-    // --- Pricing: Devex score d^2/w, or first eligible under Bland. ---
-    size_t Entering = None;
-    int Dir = 0;
-    double BestScore = 0.0;
-    for (size_t C = 0; C < T.ArtStart; ++C) {
-      ColStatus St = T.Status[C];
-      if (St == ColStatus::Basic || T.Upper[C] == 0.0)
-        continue;
-      double RC = T.Cost[C];
-      int D;
-      if (St == ColStatus::AtLower) {
-        if (RC >= -Tol)
-          continue;
-        D = 1;
-      } else {
-        if (RC <= Tol)
-          continue;
-        D = -1;
-      }
-      if (UseBland) {
-        Entering = C;
-        Dir = D;
-        break;
-      }
-      double Score = RC * RC / T.Weight[C];
-      if (Score > BestScore) {
-        BestScore = Score;
-        Entering = C;
-        Dir = D;
-      }
-    }
-    if (Entering == None)
-      return PhaseResult::Optimal;
-
-    // --- Ratio test over the basic rows. ---
-    double RowT = Infinity;
-    size_t PivotRow = None;
-    double PivotAbs = 0.0;
-    ColStatus LeaveAt = ColStatus::AtLower;
-    for (size_t R = 0; R < T.NumRows; ++R) {
-      double A = T.at(R, Entering);
-      double S = Dir > 0 ? A : -A;
-      double Lim;
-      ColStatus LA;
-      if (S > Tol) {
-        Lim = T.Rhs[R] > 0.0 ? T.Rhs[R] / S : 0.0;
-        LA = ColStatus::AtLower;
-      } else if (S < -Tol) {
-        double U = T.Upper[static_cast<size_t>(T.Basis[R])];
-        if (U == Infinity)
-          continue;
-        double Room = U - T.Rhs[R];
-        Lim = Room > 0.0 ? Room / (-S) : 0.0;
-        LA = ColStatus::AtUpper;
-      } else {
-        continue;
-      }
-      bool Take;
-      if (PivotRow == None || Lim < RowT - Tol)
-        Take = true;
-      else if (Lim < RowT + Tol)
-        Take = UseBland ? T.Basis[R] < T.Basis[PivotRow]
-                        : std::abs(A) > PivotAbs;
-      else
-        Take = false;
-      if (Take) {
-        RowT = Lim;
-        PivotRow = R;
-        PivotAbs = std::abs(A);
-        LeaveAt = LA;
-      }
-    }
-
-    double FlipT = T.Upper[Entering];
-    if (PivotRow == None && FlipT == Infinity)
-      return PhaseResult::Unbounded;
-
-    if (FlipT <= RowT) {
-      // Bound flip: the entering variable crosses to its other bound
-      // without any basis change.
-      for (size_t R = 0; R < T.NumRows; ++R) {
-        double A = T.at(R, Entering);
-        if (A != 0.0)
-          T.Rhs[R] -= Dir * A * FlipT;
-      }
-      T.Status[Entering] = Dir > 0 ? ColStatus::AtUpper : ColStatus::AtLower;
-      ++RS.BoundFlips;
-      ++Tel.BoundFlips;
-      if (FlipT > Tol)
-        Stall = 0;
-      else if (++Stall > 200)
-        UseBland = true;
-      continue;
-    }
-
-    double Step = RowT > 0.0 ? RowT : 0.0;
-    devexUpdate(T, PivotRow, Entering);
-    applyPivot(T, PivotRow, Entering, Dir, Step, LeaveAt);
-    ++RS.Pivots;
-    ++Tel.Pivots;
-    if (Step > Tol)
-      Stall = 0;
-    else if (++Stall > 200)
-      UseBland = true;
-  }
-  return PhaseResult::IterLimit;
-}
-
-/// Bounded-variable dual simplex: starting from a dual-feasible basis,
-/// drives out primal bound violations (used to re-solve after branching
-/// tightens a bound). Terminating primal-feasible certifies optimality up
-/// to the primal polish that follows; "no entering column" certifies
-/// infeasibility.
-PhaseResult runDual(Tableau &T, const SimplexOptions &Options, int MaxPivots,
-                    LpRunStats &RS) {
-  const double Tol = Options.Tolerance;
-  const double FeasTol = 1e-7;
-  LpTelemetry &Tel = lpTelemetry();
-  bool UseBland = false;
-
-  for (int Iter = 0; Iter < MaxPivots; ++Iter) {
-    // Leaving row: most violated basic bound.
-    size_t PR = None;
-    double BestViol = FeasTol;
-    bool AboveUpper = false;
-    for (size_t R = 0; R < T.NumRows; ++R) {
-      double V = T.Rhs[R];
-      if (-V > BestViol) {
-        BestViol = -V;
-        PR = R;
-        AboveUpper = false;
-      }
-      double U = T.Upper[static_cast<size_t>(T.Basis[R])];
-      if (U != Infinity && V - U > BestViol) {
-        BestViol = V - U;
-        PR = R;
-        AboveUpper = true;
-      }
-    }
-    if (PR == None)
-      return PhaseResult::Optimal;
-
-    // Entering: bound-flipping dual ratio test. Collect the columns that
-    // can absorb the violation, walk their breakpoints in increasing
-    // dual-ratio |d|/|a| order, and flip across any candidate whose own
-    // upper bound is exhausted before the violation is (its reduced cost
-    // crosses zero at its breakpoint, so the eventual pivot — whose ratio
-    // is no smaller — leaves it dual feasible at the flipped bound). The
-    // first candidate that can absorb the remainder becomes basic; without
-    // the flips, a bounded entering column would overshoot its bound and
-    // the restore would grind through one violation per pivot on exactly
-    // the all-variables-bounded models warm starts target.
-    const double *PRow = T.row(PR);
-    struct Candidate {
-      uint32_t Col;
-      double Ratio;
-      double Abs;
-    };
-    thread_local std::vector<Candidate> Candidates;
-    Candidates.clear();
-    for (size_t C = 0; C < T.ArtStart; ++C) {
-      ColStatus St = T.Status[C];
-      if (St == ColStatus::Basic || T.Upper[C] == 0.0)
-        continue;
-      double A = PRow[C];
-      bool Ok = AboveUpper ? (St == ColStatus::AtLower && A > Tol) ||
-                                 (St == ColStatus::AtUpper && A < -Tol)
-                           : (St == ColStatus::AtLower && A < -Tol) ||
-                                 (St == ColStatus::AtUpper && A > Tol);
-      if (!Ok)
-        continue;
-      double AbsA = std::abs(A);
-      Candidates.push_back(
-          {static_cast<uint32_t>(C), std::abs(T.Cost[C]) / AbsA, AbsA});
-    }
-    if (Candidates.empty())
-      return PhaseResult::Infeasible;
-    std::sort(Candidates.begin(), Candidates.end(),
-              [UseBland](const Candidate &A, const Candidate &B) {
-                if (A.Ratio != B.Ratio)
-                  return A.Ratio < B.Ratio;
-                if (!UseBland && A.Abs != B.Abs)
-                  return A.Abs > B.Abs;
-                return A.Col < B.Col;
-              });
-
-    double Remaining = BestViol;
-    bool Pivoted = false;
-    for (const Candidate &Cand : Candidates) {
-      size_t C = Cand.Col;
-      int Dir = T.Status[C] == ColStatus::AtLower ? 1 : -1;
-      double U = T.Upper[C];
-      double StepFull = Remaining > 0.0 ? Remaining / Cand.Abs : 0.0;
-      if (U == Infinity || StepFull <= U) {
-        applyPivot(T, PR, C, Dir, StepFull,
-                   AboveUpper ? ColStatus::AtUpper : ColStatus::AtLower);
-        ++RS.Pivots;
-        ++RS.DualPivots;
-        ++Tel.Pivots;
-        ++Tel.DualPivots;
-        Pivoted = true;
-        break;
-      }
-      // Flip: absorbs |a| * U of the violation without a basis change.
-      for (size_t R = 0; R < T.NumRows; ++R) {
-        double A = T.at(R, C);
-        if (A != 0.0)
-          T.Rhs[R] -= Dir * A * U;
-      }
-      T.Status[C] = Dir > 0 ? ColStatus::AtUpper : ColStatus::AtLower;
-      ++RS.BoundFlips;
-      ++Tel.BoundFlips;
-      Remaining -= Cand.Abs * U;
-    }
-    if (!Pivoted)
-      return PhaseResult::Infeasible; // Even all bounds flipped cannot
-                                      // close the violation.
-    if (Iter > 500)
-      UseBland = true;
-  }
-  return PhaseResult::IterLimit;
-}
-
-/// Reduced costs of \p Costs under the current basis (artificial columns
-/// keep cost zero and are never priced).
-void computeReducedCosts(Tableau &T, const std::vector<double> &Costs) {
-  T.Cost = Costs;
-  for (size_t R = 0; R < T.NumRows; ++R) {
-    size_t B = static_cast<size_t>(T.Basis[R]);
-    double CB = B < Costs.size() ? Costs[B] : 0.0;
-    if (CB == 0.0)
-      continue;
-    const double *Row = T.row(R);
-    for (size_t C = 0; C < T.ArtStart; ++C)
-      T.Cost[C] -= CB * Row[C];
-  }
-  // Basic columns are unit columns, so their entries are exactly zero now;
-  // enforce it against accumulated noise.
-  for (size_t R = 0; R < T.NumRows; ++R) {
-    size_t B = static_cast<size_t>(T.Basis[R]);
-    if (B < T.ArtStart)
-      T.Cost[B] = 0.0;
-  }
-}
-
-/// Plain algebraic pivot used only while replaying a warm basis: Rhs is
-/// treated as one more column (B^-1 b semantics; actual-value semantics are
-/// restored afterwards by folding in the nonbasic-at-upper contributions).
-void replayPivot(Tableau &T, size_t PR, size_t P, size_t SweepEnd) {
-  double *PRow = T.row(PR);
-  double Inv = 1.0 / PRow[P];
-  for (size_t C = 0; C < SweepEnd; ++C)
-    PRow[C] *= Inv;
-  PRow[P] = 1.0;
-  T.Rhs[PR] *= Inv;
-  for (size_t R = 0; R < T.NumRows; ++R) {
-    if (R == PR)
-      continue;
-    double *Other = T.row(R);
-    double Factor = Other[P];
-    if (Factor == 0.0)
-      continue;
-    for (size_t C = 0; C < SweepEnd; ++C)
-      Other[C] -= Factor * PRow[C];
-    Other[P] = 0.0;
-    T.Rhs[R] -= Factor * T.Rhs[PR];
-  }
-  T.Status[static_cast<size_t>(T.Basis[PR])] = ColStatus::AtLower;
-  T.Basis[PR] = static_cast<int>(P);
-  T.Status[P] = ColStatus::Basic;
-}
-
-/// Installs \p W into a freshly built tableau: maps logical ids, realizes
-/// the basis by Gaussian elimination with partial pivoting, restores
-/// nonbasic-at-upper statuses, and recomputes actual basic values. Returns
-/// false (tableau unusable) when the basis does not fit this instance.
-bool replayBasis(Tableau &T, const SimplexBasis &W) {
-  if (W.BasicCols.size() != T.NumRows ||
-      W.AtUpper.size() != T.NumVars)
-    return false;
-
-  std::vector<int> Phys(T.NumRows);
-  std::vector<uint8_t> Seen(T.NumCols, 0);
-  bool NeedArts = false;
-  for (size_t R = 0; R < T.NumRows; ++R) {
-    int P = T.physOf(W.BasicCols[R]);
-    if (P < 0 || Seen[static_cast<size_t>(P)])
-      return false;
-    Seen[static_cast<size_t>(P)] = 1;
-    Phys[R] = P;
-    NeedArts |= static_cast<size_t>(P) >= T.ArtStart;
-  }
-  size_t SweepEnd = NeedArts ? T.NumCols : T.ArtStart;
-
-  std::vector<int> RowOfBasic(T.NumCols, -1);
-  for (size_t R = 0; R < T.NumRows; ++R)
-    RowOfBasic[static_cast<size_t>(T.Basis[R])] = static_cast<int>(R);
-
-  std::vector<uint8_t> RowFixed(T.NumRows, 0);
-  std::vector<size_t> Pending;
-  for (size_t I = 0; I < T.NumRows; ++I) {
-    size_t P = static_cast<size_t>(Phys[I]);
-    int R = RowOfBasic[P];
-    if (R >= 0 && !RowFixed[static_cast<size_t>(R)])
-      RowFixed[static_cast<size_t>(R)] = 1;
-    else
-      Pending.push_back(P);
-  }
-  for (size_t P : Pending) {
-    size_t BestRow = None;
-    double BestAbs = 1e-8;
-    for (size_t R = 0; R < T.NumRows; ++R) {
-      if (RowFixed[R])
-        continue;
-      double A = std::abs(T.at(R, P));
-      if (A > BestAbs) {
-        BestAbs = A;
-        BestRow = R;
-      }
-    }
-    if (BestRow == None)
-      return false; // Singular under the new bounds.
-    replayPivot(T, BestRow, P, SweepEnd);
-    RowFixed[BestRow] = 1;
-  }
-
-  // Restore nonbasic-at-upper statuses and fold their contribution into
-  // the basic values (actual-value semantics from here on).
-  for (size_t V = 0; V < T.NumVars; ++V) {
-    if (!W.AtUpper[V] || T.Status[V] == ColStatus::Basic ||
-        T.Upper[V] == Infinity)
-      continue;
-    T.Status[V] = ColStatus::AtUpper;
-    double U = T.Upper[V];
-    if (U == 0.0)
-      continue;
-    for (size_t R = 0; R < T.NumRows; ++R) {
-      double A = T.at(R, V);
-      if (A != 0.0)
-        T.Rhs[R] -= A * U;
-    }
-  }
-  return true;
 }
 
 } // namespace
 
 Solution lp::solveLp(const Model &M, const std::vector<BoundOverride> &Overrides,
-                     const SimplexOptions &Options,
-                     const SimplexBasis *WarmStart, SimplexBasis *FinalBasis,
-                     LpRunStats *Stats) {
-  const double Tol = Options.Tolerance;
+                     const SimplexOptions &Options, LpRunStats *Stats) {
   const size_t NumVars = M.numVars();
   LpRunStats LocalStats;
   LpRunStats &RS = Stats ? *Stats : LocalStats;
   RS = LpRunStats();
-  LpTelemetry &Tel = lpTelemetry();
-  ++Tel.Solves;
-  if (FinalBasis)
-    FinalBasis->clear();
+  ++lpTelemetry().Solves;
 
   // Effective bounds after overrides.
   std::vector<double> Lo(NumVars), Hi(NumVars);
@@ -1132,195 +531,14 @@ Solution lp::solveLp(const Model &M, const std::vector<BoundOverride> &Overrides
     Lo[static_cast<size_t>(O.Var)] = O.LowerBound;
     Hi[static_cast<size_t>(O.Var)] = O.UpperBound;
   }
-  Solution Result;
   for (size_t V = 0; V < NumVars; ++V) {
-    if (Lo[V] > Hi[V] + Tol) {
+    if (Lo[V] > Hi[V] + Options.Tolerance) {
+      Solution Result;
       Result.Status = SolveStatus::Infeasible;
       return Result;
     }
   }
-
-  // Phase-2 costs over physical columns (as minimization).
-  auto makeCosts = [&](const Tableau &T) {
-    std::vector<double> Costs(T.NumCols, 0.0);
-    double ObjSign = M.goal() == Goal::Minimize ? 1.0 : -1.0;
-    LinearExpr Obj = M.objective();
-    Obj.normalize();
-    for (const auto &[Var, Coeff] : Obj.terms())
-      Costs[static_cast<size_t>(Var)] = ObjSign * Coeff;
-    return Costs;
-  };
-
-  // ---- Compat path: the historical solver, value-for-value, over the
-  // column-compressed tableau. Warm starts are ignored in this mode. ----
-  if (Options.Pricing == LpPricing::Dantzig)
-    return solveCompatLp(M, Lo, Hi, Options, RS, FinalBasis);
-
-  // Thread-local scratch: the hot callers solve tens of thousands of
-  // small LPs, and reusing vector capacity across solves removes the
-  // allocation churn (buildTableau fully re-initializes every field).
-  thread_local Tableau T;
-  PhaseResult PR = PhaseResult::IterLimit;
-  bool Solved = false;
-
-  // ---- Warm path: replay the caller's basis, then re-optimize. ----
-  if (!Solved && WarmStart && !WarmStart->empty()) {
-    ++Tel.WarmStartAttempts;
-    buildTableau(T, M, Lo, Hi);
-    if (replayBasis(T, *WarmStart)) {
-      std::vector<double> Costs = makeCosts(T);
-      computeReducedCosts(T, Costs);
-
-      const double FeasTol = 1e-7;
-      bool PrimalFeasible = true;
-      for (size_t R = 0; R < T.NumRows && PrimalFeasible; ++R) {
-        double V = T.Rhs[R];
-        double U = T.Upper[static_cast<size_t>(T.Basis[R])];
-        PrimalFeasible = V >= -FeasTol && (U == Infinity || V <= U + FeasTol);
-      }
-      bool DualFeasible = true;
-      for (size_t C = 0; C < T.ArtStart && DualFeasible; ++C) {
-        // Fixed columns (ancestor branching fixations) can never enter;
-        // their reduced-cost sign is immaterial.
-        if (T.Status[C] == ColStatus::Basic || T.Upper[C] == 0.0)
-          continue;
-        DualFeasible = T.Status[C] == ColStatus::AtLower
-                           ? T.Cost[C] >= -FeasTol
-                           : T.Cost[C] <= FeasTol;
-      }
-
-      if (PrimalFeasible) {
-        // Objective-only change (or nothing changed): phase 1 is free.
-        PR = runPrimal(T, Options, RS);
-        // A warm IterLimit falls through to the cold path below: warm
-        // starts must never change results, only work.
-        Solved = PR != PhaseResult::IterLimit;
-      } else if (DualFeasible) {
-        // Bound change: restore primal feasibility dually, then polish.
-        int DualCap = static_cast<int>(std::min<long>(
-            Options.MaxIterations, 5 * static_cast<long>(T.NumRows) + 100));
-        PhaseResult DR = runDual(T, Options, DualCap, RS);
-        if (DR == PhaseResult::Optimal) {
-          PR = runPrimal(T, Options, RS);
-          Solved = PR != PhaseResult::IterLimit;
-        } else if (DR == PhaseResult::Infeasible) {
-          // Dual unboundedness certifies primal infeasibility (same trust
-          // level as phase 1's certificate); re-solving cold here would
-          // make every pruned branch-and-bound child pay twice.
-          PR = DR;
-          Solved = true;
-        }
-        // Dual IterLimit: retry cold rather than reporting a starved
-        // restore as the solve's outcome.
-      }
-    }
-    if (Solved) {
-      RS.WarmStarted = true;
-      ++Tel.WarmStartHits;
-    }
-  }
-
-  // ---- Cold path: two-phase from the slack/artificial basis. ----
-  if (!Solved) {
-    buildTableau(T, M, Lo, Hi);
-
-    if (T.NumCols > T.ArtStart) {
-      // Phase 1: minimize the sum of artificials. Their reduced costs are
-      // never needed (artificials are never priced), so the cost row only
-      // spans the live columns.
-      T.Cost.assign(T.NumCols, 0.0);
-      for (size_t R = 0; R < T.NumRows; ++R) {
-        size_t B = static_cast<size_t>(T.Basis[R]);
-        if (B < T.ArtStart)
-          continue;
-        const double *Row = T.row(R);
-        for (size_t C = 0; C < T.ArtStart; ++C)
-          T.Cost[C] -= Row[C];
-      }
-      PhaseResult P1 = runPrimal(T, Options, RS);
-      if (P1 != PhaseResult::Optimal) {
-        Result.Status = SolveStatus::IterLimit;
-        return Result;
-      }
-      double Phase1Obj = 0.0;
-      for (size_t R = 0; R < T.NumRows; ++R)
-        if (static_cast<size_t>(T.Basis[R]) >= T.ArtStart)
-          Phase1Obj += T.Rhs[R];
-      if (Phase1Obj > 1e-7) {
-        Result.Status = SolveStatus::Infeasible;
-        return Result;
-      }
-      // Drive residual basic artificials out of the basis where possible;
-      // a row that offers no live pivot is redundant and keeps its
-      // artificial basic at zero (the dead column is never touched again).
-      for (size_t R = 0; R < T.NumRows; ++R) {
-        size_t B = static_cast<size_t>(T.Basis[R]);
-        if (B < T.ArtStart)
-          continue;
-        size_t PivotCol = None;
-        for (size_t C = 0; C < T.ArtStart; ++C) {
-          if (T.Status[C] != ColStatus::Basic &&
-              std::abs(T.at(R, C)) > Tol) {
-            PivotCol = C;
-            break;
-          }
-        }
-        if (PivotCol == None)
-          continue;
-        int Dir = T.Status[PivotCol] == ColStatus::AtLower ? 1 : -1;
-        double A = T.at(R, PivotCol);
-        double Step = T.Rhs[R] / (Dir * A);
-        applyPivot(T, R, PivotCol, Dir, Step, ColStatus::AtLower);
-        ++RS.Pivots;
-        ++Tel.Pivots;
-      }
-    }
-
-    computeReducedCosts(T, makeCosts(T));
-    PR = runPrimal(T, Options, RS);
-  }
-
-  if (PR == PhaseResult::IterLimit || PR == PhaseResult::Infeasible) {
-    // Infeasible here comes from the warm dual's certificate; the primal
-    // phases report infeasibility via the phase-1 objective instead.
-    Result.Status = PR == PhaseResult::Infeasible ? SolveStatus::Infeasible
-                                                  : SolveStatus::IterLimit;
-    return Result;
-  }
-  if (PR == PhaseResult::Unbounded) {
-    Result.Status = SolveStatus::Unbounded;
-    return Result;
-  }
-
-  // Extract the solution (shift lower bounds back in).
-  Result.Values.assign(NumVars, 0.0);
-  for (size_t V = 0; V < NumVars; ++V)
-    if (T.Status[V] == ColStatus::AtUpper)
-      Result.Values[V] = T.Upper[V];
-  for (size_t R = 0; R < T.NumRows; ++R) {
-    int B = T.Basis[R];
-    if (B >= 0 && static_cast<size_t>(B) < NumVars)
-      Result.Values[static_cast<size_t>(B)] = T.Rhs[R];
-  }
-  for (size_t V = 0; V < NumVars; ++V) {
-    Result.Values[V] += Lo[V];
-    // Clamp tiny numerical overshoot back into the variable's domain.
-    Result.Values[V] = std::max(Result.Values[V], Lo[V]);
-    if (std::isfinite(Hi[V]))
-      Result.Values[V] = std::min(Result.Values[V], Hi[V]);
-  }
-  Result.Objective = M.objective().evaluate(Result.Values);
-  Result.Status = SolveStatus::Optimal;
-
-  if (FinalBasis) {
-    FinalBasis->BasicCols.resize(T.NumRows);
-    for (size_t R = 0; R < T.NumRows; ++R)
-      FinalBasis->BasicCols[R] = T.logicalOf(T.Basis[R]);
-    FinalBasis->AtUpper.assign(NumVars, 0);
-    for (size_t V = 0; V < NumVars; ++V)
-      FinalBasis->AtUpper[V] = T.Status[V] == ColStatus::AtUpper;
-  }
-  return Result;
+  return solveCompatLp(M, Lo, Hi, Options, RS);
 }
 
 Solution lp::solveLp(const Model &M) {

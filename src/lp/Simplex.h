@@ -1,19 +1,26 @@
-//===- lp/Simplex.h - Bounded-variable primal/dual simplex ------*- C++ -*-===//
+//===- lp/Simplex.h - Two-phase primal simplex ------------------*- C++ -*-===//
 //
 // Part of the PALMED reproduction.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Dense bounded-variable simplex over a Model (integrality relaxed).
-/// Finite upper bounds are handled implicitly (nonbasic-at-upper-bound
-/// statuses and bound flips) instead of materializing one row per bounded
-/// variable, which matters on Palmed models where nearly every variable is
-/// bounded. Devex pricing with a Bland fallback guards degenerate bases; a
-/// bounded dual simplex restores feasibility when re-solving from a warm
-/// basis after bound changes (branch-and-bound nodes) or objective changes
-/// (BWP pin iterations). Sized for Palmed's LP instances: a few thousand
-/// rows/columns at most.
+/// Two-phase primal simplex over a Model (integrality relaxed). Every finite
+/// upper bound becomes one explicit LE row. Pricing is Dantzig (most
+/// negative reduced cost) with a Bland fallback after a degenerate stall,
+/// and ratio-test ties go to the smallest basic column index. The tableau
+/// stores only its live columns (see Simplex.cpp). Sized for Palmed's LP
+/// instances: a few thousand rows and at most a few dozen variables in the
+/// hot BWP blocks.
+///
+/// The pivot sequence and arithmetic reproduce the historical dense solver
+/// value for value, and that is part of the contract. Degenerate optima are
+/// vertex-ambiguous, and Palmed consumes raw vertices, not just objective
+/// values: the LP2 refinement loop and the saturating-kernel choice read
+/// maximal-weight BWP solutions, and the analytic oracle's measurement bits
+/// feed integer rounding of kernel multiplicities. So the pivot path is
+/// part of a mapping's identity; a change to pricing, tie-breaks or pivot
+/// arithmetic changes mappings.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -22,35 +29,17 @@
 
 #include "lp/Model.h"
 
-#include <cstdint>
+#include <vector>
 
 namespace palmed {
 namespace lp {
 
-/// Solver flavor.
-enum class LpPricing {
-  /// Bounded-variable simplex with Devex pricing, implicit upper bounds,
-  /// and warm-start support: the fast path.
-  Devex,
-  /// Compatibility mode: reproduces the historical dense two-phase solver
-  /// value-for-value — explicit upper-bound rows, Dantzig pricing with
-  /// smallest-basis-index ratio ties, and the original pivot arithmetic.
-  /// Degenerate optima are vertex-ambiguous, and Palmed's refinement loop
-  /// consumes raw vertices (maximal-weight BWP solutions, oracle
-  /// measurement bits that feed integer rounding of kernel
-  /// multiplicities), so the call sites whose vertex choice shapes the
-  /// final mapping pin this mode to keep mapping outcomes reproducible.
-  /// Warm starts are ignored in this mode.
-  Dantzig,
-};
-
 /// Options controlling the simplex run.
 struct SimplexOptions {
-  /// Hard cap on pivots per phase (and per dual-simplex restore).
+  /// Hard cap on pivots per phase.
   int MaxIterations = 200000;
   /// Numerical tolerance for feasibility / reduced-cost tests.
   double Tolerance = 1e-9;
-  LpPricing Pricing = LpPricing::Devex;
 };
 
 /// Per-variable bound overrides used by branch-and-bound nodes; entries with
@@ -61,45 +50,22 @@ struct BoundOverride {
   double UpperBound = Infinity;
 };
 
-/// A simplex basis in solver-stable "logical" column numbering: columns
-/// [0, numVars) are the model variables, [numVars, numVars + numRows) the
-/// per-row slack/surplus columns, and [numVars + numRows, numVars +
-/// 2*numRows) the per-row artificial columns. The numbering depends only on
-/// the model's shape, never on bound overrides, so a basis exported from one
-/// solve can seed another solve of the same model with different bounds or a
-/// different objective.
-struct SimplexBasis {
-  /// One basic logical column per tableau row.
-  std::vector<int> BasicCols;
-  /// Per model variable: nonbasic at its upper (instead of lower) bound.
-  std::vector<uint8_t> AtUpper;
-
-  bool empty() const { return BasicCols.empty(); }
-  void clear() {
-    BasicCols.clear();
-    AtUpper.clear();
-  }
-};
-
 /// Per-solve statistics.
 struct LpRunStats {
-  int Pivots = 0;     ///< Primal + dual pivots.
-  int DualPivots = 0; ///< Dual-simplex share of Pivots.
-  int BoundFlips = 0; ///< Nonbasic bound flips (no basis change).
-  /// True when the caller-provided warm basis was accepted and drove the
-  /// solve (false on fallback to a cold two-phase solve).
-  bool WarmStarted = false;
+  int Pivots = 0;
 };
 
-/// Cheap thread-local accumulation of simplex work, for surfacing LP
-/// hot-path cost through PalmedStats and the benches without threading a
-/// stats object through every call site. Snapshot before / after a region
-/// and subtract.
+/// Cheap thread-local accumulation of LP work, for surfacing LP hot-path
+/// cost through PalmedStats and the benches without threading a stats
+/// object through every call site. Snapshot before / after a region and
+/// subtract.
 struct LpTelemetry {
   long Solves = 0;
   long Pivots = 0;
-  long DualPivots = 0;
-  long BoundFlips = 0;
+  /// Probes of the LP2/LPAUX block cache (BwpSubproblemCache) and the
+  /// probes it answered without solving. No LP is warm-started; the names
+  /// are historical and kept because PalmedStats and the benches export
+  /// them.
   long WarmStartAttempts = 0;
   long WarmStartHits = 0;
 };
@@ -110,19 +76,8 @@ LpTelemetry &lpTelemetry();
 /// Solves the LP relaxation of \p M. \p Overrides optionally tightens
 /// variable bounds (used by branch-and-bound); overridden bounds fully
 /// replace the model's bounds for that variable.
-///
-/// \p WarmStart, when non-null and non-empty, seeds the solve with a basis
-/// previously exported (via \p FinalBasis) from a solve of the same model —
-/// possibly under different bound overrides or a different objective. The
-/// warm path falls back to a cold solve automatically when the basis does
-/// not fit (dimension mismatch, singular after bound changes, neither
-/// primal nor dual feasible). \p FinalBasis, when non-null, receives the
-/// final basis of a solve that ended Optimal (cleared otherwise).
 Solution solveLp(const Model &M, const std::vector<BoundOverride> &Overrides,
-                 const SimplexOptions &Options,
-                 const SimplexBasis *WarmStart = nullptr,
-                 SimplexBasis *FinalBasis = nullptr,
-                 LpRunStats *Stats = nullptr);
+                 const SimplexOptions &Options, LpRunStats *Stats = nullptr);
 
 /// Convenience overload without overrides and with default options.
 Solution solveLp(const Model &M);

@@ -149,13 +149,12 @@ struct Pipeline::Impl {
   /// contract.
   BwpSubproblemCache CoreLpCache;
 
-  /// LP2 solve options for the stage-2 call sites (cache, model reuse,
-  /// per-resource blocks fanned over the pipeline's executor).
+  /// LP2 solve options for the stage-2 call sites (cache, per-resource
+  /// blocks fanned over the pipeline's executor).
   BwpSolveOptions lp2Options() {
     BwpSolveOptions O;
     O.Exec = &Exec;
     O.Cache = Config.Lp2Cache ? &CoreLpCache : nullptr;
-    O.ReuseModels = Config.Lp2ReuseModels;
     return O;
   }
 
@@ -821,13 +820,11 @@ void Pipeline::Impl::completeMapping() {
     const InstrId Inst = AuxInstrs[Idx];
     const lp::LpTelemetry TelBefore = lp::lpTelemetry();
 
-    // No executor: this already runs inside a parallelFor, and the
-    // executor is not reentrant.
-    BwpSolveOptions AuxOpts;
-    AuxOpts.ReuseModels = Config.Lp2ReuseModels;
+    // Default options, so no executor: this already runs inside a
+    // parallelFor, and the executor is not reentrant.
     Slots[Idx].Aux =
         solveAuxWeights(Shape, IndexOf, Weights.Rho, Inst, Slots[Idx].Kernels,
-                        Config.Mode, /*MaxPinIterations=*/4, AuxOpts);
+                        Config.Mode, /*MaxPinIterations=*/4);
     {
       // The solve is a deterministic function of the instruction, so the
       // per-task delta (and the index-ordered sum below) is independent

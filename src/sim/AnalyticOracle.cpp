@@ -51,13 +51,11 @@ double AnalyticOracle::portCycles(const Microkernel &K) const {
   Obj.add(T, 1.0);
   M.setObjective(std::move(Obj), lp::Goal::Minimize);
 
-  // Dantzig pricing keeps the pivot sequence (and so the exact measurement
-  // bits) stable across solver generations: oracle IPCs feed integer
-  // rounding of kernel multiplicities, where a last-ulp difference on a
-  // .5 boundary changes the generated benchmark set.
-  lp::SimplexOptions Options;
-  Options.Pricing = lp::LpPricing::Dantzig;
-  lp::Solution Sol = lp::solveLp(M, {}, Options);
+  // The measurement bits depend on the simplex's pivot path (see
+  // lp/Simplex.h): oracle IPCs feed integer rounding of kernel
+  // multiplicities, where a last-ulp difference on a .5 boundary changes
+  // the generated benchmark set.
+  lp::Solution Sol = lp::solveLp(M);
   assert(Sol.Status == lp::SolveStatus::Optimal &&
          "port scheduling LP must be feasible and bounded");
   return Sol.value(T);

@@ -257,25 +257,6 @@ TEST(Lp2Equivalence, DecomposeOnOffBitwise) {
   }
 }
 
-TEST(Lp2Equivalence, ReuseModelsOnOffBitwise) {
-  // The satellite bugfix: per-iteration lp::Model reconstruction replaced
-  // by row patching. Identical model content must mean identical pivots.
-  TwoComponentFixture F;
-  lp::LpTelemetry On, Off;
-  BwpSolveOptions Reuse;
-  Reuse.ReuseModels = true;
-  BwpSolveOptions Fresh;
-  Fresh.ReuseModels = false;
-  // SoloIpc enables the balancing passes — the path that patches the
-  // primary-floor row and truncates the CapZ tail between iterations.
-  const std::vector<double> SoloIpc = {2.0, 1.0, 2.0, 1.0};
-  CoreWeights WOn = solveWith(F, Reuse, On, SoloIpc);
-  CoreWeights WOff = solveWith(F, Fresh, Off, SoloIpc);
-  expectBitwiseEqual(WOn, WOff);
-  EXPECT_EQ(On.Pivots, Off.Pivots);
-  EXPECT_EQ(On.Solves, Off.Solves);
-}
-
 TEST(Lp2Equivalence, CacheOnOffBitwiseValues) {
   TwoComponentFixture F;
   BwpSubproblemCache Cache;

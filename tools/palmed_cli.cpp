@@ -303,14 +303,17 @@ int cmdMap(const Options &O) {
   const PalmedResult &R = P.run();
   std::fprintf(stderr,
                "%zu resources, %zu instructions mapped, %zu benchmarks "
-               "(%zu of %zu quadratic pairs), %.1fs total\n",
+               "(%zu of %zu quadratic pairs), %.1fs total (select %.2fs, "
+               "core %.2fs, complete %.2fs)\n",
                R.Stats.NumResources, R.Stats.NumMapped,
                R.Stats.NumBenchmarks, R.Stats.PairBenchmarks,
                R.Stats.PairBenchmarksQuadratic,
                R.Stats.SelectionSeconds + R.Stats.CoreMappingSeconds +
-                   R.Stats.CompleteMappingSeconds);
+                   R.Stats.CompleteMappingSeconds,
+               R.Stats.SelectionSeconds, R.Stats.CoreMappingSeconds,
+               R.Stats.CompleteMappingSeconds);
   std::fprintf(stderr,
-               "LP2: %zu shape-search nodes, %ld/%ld warm-start hits "
+               "LP2: %zu shape-search nodes, %ld/%ld block-cache hits "
                "(%.1f%% of probes), %ld+%ld pivots\n",
                R.Stats.ShapeSearchNodes, R.Stats.LpWarmStartHits,
                R.Stats.LpWarmStartAttempts,
