@@ -5,13 +5,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The public successor of the historical runEvaluation() free function:
-/// an evaluation session that owns (or borrows) a set of predictors and
-/// runs them over a weighted block set under an ExecutionPolicy. The
-/// Parallel policy fans the blocks x (native + predictors) work items out
-/// over a small internal thread pool; every work item writes its own
-/// pre-allocated slot, so Serial and Parallel produce bit-identical
-/// EvalOutcomes.
+/// The Fig. 4 harness: an evaluation session that owns (or borrows) a set
+/// of predictors and runs them over a weighted block set under an
+/// ExecutionPolicy. The Parallel policy fans the blocks x (native +
+/// predictors) work items out over a small internal thread pool; every
+/// work item writes its own pre-allocated slot, so Serial and Parallel
+/// produce bit-identical EvalOutcomes.
 ///
 /// Thread-safety contract: predictors declare reentrancy through
 /// Predictor::isThreadSafe(). A non-reentrant predictor is either cloned

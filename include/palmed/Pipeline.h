@@ -5,9 +5,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The public, staged form of the paper's Fig. 3 pipeline. Where the
-/// historical runPalmed() free function runs everything in one shot,
-/// Pipeline exposes the three stages individually:
+/// The public, staged form of the paper's Fig. 3 pipeline. Pipeline
+/// exposes the three stages individually:
 ///
 ///   Pipeline P(Runner, Config);
 ///   P.selectBasics();      // Algo 1 -> SelectionResult
@@ -15,10 +14,10 @@
 ///   P.completeMapping();   // Algo 5 -> PalmedResult
 ///
 /// Stages must run in order and each runs once; run() drives whatever is
-/// left, so `Pipeline(R).run()` is equivalent to the one-shot function,
-/// and a caller can stop after any stage, inspect its result, and resume
-/// later. Progress is observable through PipelineObserver and the whole
-/// pipeline is cooperatively cancellable through CancellationToken (see
+/// left, so `Pipeline(R).run()` maps in one shot, and a caller can stop
+/// after any stage, inspect its result, and resume later. Progress is
+/// observable through PipelineObserver and the whole pipeline is
+/// cooperatively cancellable through CancellationToken (see
 /// palmed/Observer.h).
 ///
 //===----------------------------------------------------------------------===//
@@ -82,12 +81,15 @@ struct PalmedStats {
   double SelectionSeconds = 0.0;
   double CoreMappingSeconds = 0.0; ///< Shape + weights (the "LP solving").
   double CompleteMappingSeconds = 0.0;
-  /// LP solver work during the two mapping stages (from lp::lpTelemetry):
-  /// solve counts and simplex pivots for core mapping (LP2) and mapping
-  /// completion (LPAUX). LpWarmStartAttempts/Hits count cache probes and
-  /// hits (both zero with Lp2Cache off): LP2 blocks looked up in, or
-  /// replayed from, the block cache, and stage-3 instructions looked up
-  /// in, or deduplicated against, their measurement group. No LP is
+  /// LP solver work of the two mapping stages, as the weight solves
+  /// report it (BwpWork): solve counts and simplex pivots of the core
+  /// mapping's LP2 fits and of the completion's LPAUX solves. LPs that
+  /// stand in for the hardware (the analytic oracle's measurements) are
+  /// not counted, so the counts do not depend on what the runner had
+  /// cached. LpWarmStartAttempts/Hits count cache probes and hits (both
+  /// zero with Lp2Cache off): LP2 blocks looked up in, or replayed from,
+  /// the block cache, and stage-3 instructions looked up in, or
+  /// deduplicated against, their measurement group. No LP is
   /// warm-started; the field names are historical and kept for the tools
   /// that read them.
   long CoreLpSolves = 0;

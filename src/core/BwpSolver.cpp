@@ -19,21 +19,13 @@ using namespace palmed;
 
 namespace {
 
-lp::LpTelemetry telemetryDelta(const lp::LpTelemetry &Now,
-                               const lp::LpTelemetry &Before) {
-  lp::LpTelemetry D;
-  D.Solves = Now.Solves - Before.Solves;
-  D.Pivots = Now.Pivots - Before.Pivots;
-  D.WarmStartAttempts = Now.WarmStartAttempts - Before.WarmStartAttempts;
-  D.WarmStartHits = Now.WarmStartHits - Before.WarmStartHits;
-  return D;
-}
-
-void telemetryAdd(lp::LpTelemetry &T, const lp::LpTelemetry &D) {
-  T.Solves += D.Solves;
-  T.Pivots += D.Pivots;
-  T.WarmStartAttempts += D.WarmStartAttempts;
-  T.WarmStartHits += D.WarmStartHits;
+/// Solves \p M and adds the solve and its pivots to \p Work.
+lp::Solution solveCounted(const lp::Model &M, BwpWork &Work) {
+  lp::LpRunStats Stats;
+  lp::Solution Sol = lp::solveLp(M, {}, lp::SimplexOptions(), &Stats);
+  ++Work.Solves;
+  Work.Pivots += Stats.Pivots;
+  return Sol;
 }
 
 /// Shared LP2/LPAUX machinery: free weight variables plus frozen
@@ -79,14 +71,15 @@ public:
     Rows.push_back(std::move(Row));
   }
 
-  /// Solves and returns the variable values; sets \p TotalSlack.
+  /// Solves and returns the variable values; sets \p TotalSlack and adds
+  /// the solve's LP and cache work to \p Work.
   std::vector<double> solve(BwpMode Mode, int MaxPinIterations,
-                            double &TotalSlack, bool &Feasible,
+                            double &TotalSlack, bool &Feasible, BwpWork &Work,
                             const BwpSolveOptions &Opts = {}) {
     std::vector<double> Values =
         Mode == BwpMode::ExactMilp
-            ? solveExact(Feasible)
-            : solvePinned(MaxPinIterations, Feasible, Opts);
+            ? solveExact(Feasible, Work)
+            : solvePinned(MaxPinIterations, Feasible, Work, Opts);
     TotalSlack = 0.0;
     if (Feasible)
       for (const KernelRow &Row : Rows)
@@ -242,14 +235,14 @@ private:
     return D;
   }
 
-  /// Solves resource \p R's block for \p PinnedObj and writes its values
-  /// into \p Values. Returns false, leaving \p Values untouched, when the
-  /// primary LP fails. Reads only fixed state and touches only R's
-  /// variables and \p RM (R's model buffers), so blocks of different
-  /// resources may solve concurrently.
+  /// Solves resource \p R's block for \p PinnedObj, writes its values
+  /// into \p Values and adds its LPs to \p Work. Returns false, leaving
+  /// \p Values untouched, when the primary LP fails. Reads only fixed
+  /// state and touches only R's variables, \p RM (R's model buffers) and
+  /// \p Work, so blocks of different resources may solve concurrently.
   bool solveBlock(size_t R, const lp::LinearExpr &PinnedObj,
                   const BlockLayout &L, ResourceModels &RM,
-                  std::vector<double> &Values) const {
+                  std::vector<double> &Values, BwpWork &Work) const {
     const std::vector<size_t> &RVars = L.Vars[R];
     const size_t NumRowsR = L.Kernels[R].size();
     lp::Model &M = RM.Primary;
@@ -261,7 +254,7 @@ private:
     for (size_t I = 0; I < RVars.size(); ++I)
       Obj.add(static_cast<lp::VarId>(I), TieBreak);
     M.setObjective(std::move(Obj), lp::Goal::Maximize);
-    lp::Solution Sol = lp::solveLp(M);
+    lp::Solution Sol = solveCounted(M, Work);
     if (Sol.Status != lp::SolveStatus::Optimal)
       return false;
     if (!VarScales.empty()) {
@@ -304,7 +297,7 @@ private:
       lp::LinearExpr Obj2;
       Obj2.add(Z, 1.0);
       M2.setObjective(std::move(Obj2), lp::Goal::Minimize);
-      lp::Solution Sol2 = lp::solveLp(M2);
+      lp::Solution Sol2 = solveCounted(M2, Work);
       if (Sol2.Status == lp::SolveStatus::Optimal) {
         // Third pass: with the saturation value and the balanced ceiling
         // fixed, raise every weight to its consistent maximum (min-max
@@ -318,7 +311,7 @@ private:
         for (size_t V : RVars)
           Obj3.add(L.LocalOf[V], 1.0);
         M2.setObjective(std::move(Obj3), lp::Goal::Maximize);
-        lp::Solution Sol3 = lp::solveLp(M2);
+        lp::Solution Sol3 = solveCounted(M2, Work);
         const lp::Solution &Fin =
             Sol3.Status == lp::SolveStatus::Optimal ? Sol3 : Sol2;
         for (size_t V : RVars)
@@ -343,13 +336,13 @@ private:
   ///     same round will solve becomes that block's follower;
   ///  2. the remaining blocks solve over Opts.Exec (inline when null);
   ///  3. a serial pass publishes, in resource order, each block's cache
-  ///     entry and LP telemetry delta, and replays leaders' values into
+  ///     entry, adds its work to \p Work, and replays leaders' values into
   ///     their followers.
-  /// Values, cache contents and telemetry equal those of solving the
-  /// blocks one at a time in resource order (where a follower hits the
-  /// entry its leader just published), at any executor width.
+  /// Values, cache contents and work equal those of solving the blocks one
+  /// at a time in resource order (where a follower hits the entry its
+  /// leader just published), at any executor width.
   std::vector<double> solvePinned(int MaxPinIterations, bool &Feasible,
-                                  const BwpSolveOptions &Opts) {
+                                  BwpWork &Work, const BwpSolveOptions &Opts) {
     // Working pins; fixed pins are respected, free pins start unassigned.
     std::vector<int> Pins(Rows.size(), -1);
     for (size_t K = 0; K < Rows.size(); ++K)
@@ -377,7 +370,7 @@ private:
       /// Block (index into the round) this one replays; -1 = solves.
       long Leader = -1;
       bool Ok = false;
-      lp::LpTelemetry Tel;
+      BwpWork Work;
     };
     auto Publish = [&](const Block &B) {
       PrevObj[B.R] = B.Obj.terms();
@@ -415,11 +408,11 @@ private:
             D.addDouble(C);
           }
           B.Digest = D.value();
-          ++lp::lpTelemetry().WarmStartAttempts;
+          ++Work.CacheProbes;
           if (const BwpSubproblemCache::Entry *Hit =
                   Opts.Cache->find(B.Digest)) {
             assert(Hit->Values.size() == RVars.size());
-            ++lp::lpTelemetry().WarmStartHits;
+            ++Work.CacheHits;
             for (size_t I = 0; I < RVars.size(); ++I)
               Values[RVars[I]] = Hit->Values[I];
             PrevObj[R] = B.Obj.terms();
@@ -438,11 +431,7 @@ private:
       // ---- Solve pass. ----
       auto Solve = [&](size_t I, unsigned) {
         Block &B = Blocks[ToSolve[I]];
-        lp::LpTelemetry &T = lp::lpTelemetry();
-        const lp::LpTelemetry Before = T;
-        B.Ok = solveBlock(B.R, B.Obj, L, Models[B.R], Values);
-        B.Tel = telemetryDelta(T, Before);
-        T = Before; // Re-applied by the publish pass on this thread.
+        B.Ok = solveBlock(B.R, B.Obj, L, Models[B.R], Values, B.Work);
       };
       if (Opts.Exec)
         Opts.Exec->parallelFor(ToSolve.size(), Solve);
@@ -454,11 +443,11 @@ private:
       bool AllSolved = true;
       for (Block &B : Blocks) {
         if (B.Leader < 0) {
-          telemetryAdd(lp::lpTelemetry(), B.Tel);
+          Work += B.Work;
         } else if (const Block &Lead = Blocks[static_cast<size_t>(B.Leader)];
                    Lead.Ok) {
           // A hit on the entry the leader just published.
-          ++lp::lpTelemetry().WarmStartHits;
+          ++Work.CacheHits;
           const std::vector<size_t> &From = L.Vars[Lead.R], &To = L.Vars[B.R];
           for (size_t I = 0; I < To.size(); ++I)
             Values[To[I]] = Values[From[I]];
@@ -467,7 +456,7 @@ private:
           continue;
         } else {
           // The leader failed and published nothing: solve this block.
-          B.Ok = solveBlock(B.R, B.Obj, L, Models[B.R], Values);
+          B.Ok = solveBlock(B.R, B.Obj, L, Models[B.R], Values, Work);
         }
         if (B.Ok)
           Publish(B);
@@ -506,7 +495,7 @@ private:
     return Values;
   }
 
-  std::vector<double> solveExact(bool &Feasible) {
+  std::vector<double> solveExact(bool &Feasible, BwpWork &Work) {
     lp::Model M;
     std::vector<lp::VarId> Vars;
     buildBase(M, Vars);
@@ -542,7 +531,10 @@ private:
     }
     M.setObjective(std::move(Obj), lp::Goal::Maximize);
 
-    lp::Solution Sol = lp::solveMilp(M);
+    lp::MilpStats Stats;
+    lp::Solution Sol = lp::solveMilp(M, lp::MilpOptions(), &Stats);
+    Work.Solves += Stats.LpSolves;
+    Work.Pivots += Stats.LpPivots;
     Feasible = Sol.ok();
     std::vector<double> Values(NumVars, 0.0);
     if (Feasible)
@@ -580,18 +572,8 @@ CoreWeights palmed::solveCoreWeights(const MappingShape &Shape,
                                      const std::map<InstrId, size_t> &IndexOf,
                                      const std::vector<WeightKernel> &Kernels,
                                      BwpMode Mode, int MaxPinIterations,
-                                     const std::vector<double> &SoloIpc) {
-  return solveCoreWeights(Shape, IndexOf, Kernels, Mode, BwpSolveOptions(),
-                          MaxPinIterations, SoloIpc);
-}
-
-CoreWeights palmed::solveCoreWeights(const MappingShape &Shape,
-                                     const std::map<InstrId, size_t> &IndexOf,
-                                     const std::vector<WeightKernel> &Kernels,
-                                     BwpMode Mode,
-                                     const BwpSolveOptions &Options,
-                                     int MaxPinIterations,
-                                     const std::vector<double> &SoloIpc) {
+                                     const std::vector<double> &SoloIpc,
+                                     const BwpSolveOptions &Options) {
   const size_t NumRes = Shape.numResources();
   const size_t NumBasic = IndexOf.size();
 
@@ -631,8 +613,8 @@ CoreWeights palmed::solveCoreWeights(const MappingShape &Shape,
 
   CoreWeights Out;
   bool Feasible = false;
-  std::vector<double> Values =
-      Bwp.solve(Mode, MaxPinIterations, Out.TotalSlack, Feasible, Options);
+  std::vector<double> Values = Bwp.solve(Mode, MaxPinIterations, Out.TotalSlack,
+                                         Feasible, Out.Work, Options);
   assert(Feasible && "core BWP must be feasible (slack model)");
 
   Out.Rho.assign(NumBasic, std::vector<double>(NumRes, 0.0));
@@ -648,8 +630,7 @@ palmed::solveAuxWeights(const MappingShape &Shape,
                         const std::map<InstrId, size_t> &IndexOf,
                         const std::vector<std::vector<double>> &FrozenRho,
                         InstrId Inst, const std::vector<WeightKernel> &Kernels,
-                        BwpMode Mode, int MaxPinIterations,
-                        const BwpSolveOptions &Options) {
+                        BwpMode Mode, int MaxPinIterations) {
   const size_t NumRes = Shape.numResources();
 
   // One free variable per resource for the new instruction; unbounded above
@@ -677,6 +658,6 @@ palmed::solveAuxWeights(const MappingShape &Shape,
 
   AuxWeights Out;
   Out.Rho = Bwp.solve(Mode, MaxPinIterations, Out.TotalSlack, Out.Feasible,
-                      Options);
+                      Out.Work);
   return Out;
 }

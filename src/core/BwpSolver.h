@@ -105,33 +105,45 @@ struct WeightKernel {
   double measuredCycles() const { return K.size() / Ipc; }
 };
 
+/// LP work of one weight solve: the LPs it ran and their simplex pivots,
+/// and its probes of the block cache (BwpSolveOptions::Cache) and the
+/// probes answered without solving. A deterministic function of the
+/// solve's inputs and cache contents, at any executor width.
+struct BwpWork {
+  long Solves = 0;
+  long Pivots = 0;
+  long CacheProbes = 0;
+  long CacheHits = 0;
+
+  BwpWork &operator+=(const BwpWork &O) {
+    Solves += O.Solves;
+    Pivots += O.Pivots;
+    CacheProbes += O.CacheProbes;
+    CacheHits += O.CacheHits;
+    return *this;
+  }
+};
+
 /// Result of the core weight problem.
 struct CoreWeights {
   /// Rho[basicIndex][resource], normalized.
   std::vector<std::vector<double>> Rho;
   /// Final objective sum_K (1 - S_K) (prediction slack over the kernels).
   double TotalSlack = 0.0;
+  BwpWork Work;
 };
 
 /// LP2: weights of the basic instructions. \p IndexOf maps InstrId to basic
 /// index; kernels may only contain basic instructions. \p SoloIpc (indexed
 /// by basic index) enables the balanced tie-break of under-determined
-/// weight splits; empty disables it.
+/// weight splits; empty disables it. \p Options threads the pinned-solve
+/// knobs (cache, executor) through the solve.
 CoreWeights solveCoreWeights(const MappingShape &Shape,
                              const std::map<InstrId, size_t> &IndexOf,
                              const std::vector<WeightKernel> &Kernels,
                              BwpMode Mode, int MaxPinIterations = 6,
-                             const std::vector<double> &SoloIpc = {});
-
-/// Overload threading the pinned-solve options (cache, executor) through
-/// the solve. The defaulted overload above is equivalent to passing
-/// default-constructed options.
-CoreWeights solveCoreWeights(const MappingShape &Shape,
-                             const std::map<InstrId, size_t> &IndexOf,
-                             const std::vector<WeightKernel> &Kernels,
-                             BwpMode Mode, const BwpSolveOptions &Options,
-                             int MaxPinIterations = 6,
-                             const std::vector<double> &SoloIpc = {});
+                             const std::vector<double> &SoloIpc = {},
+                             const BwpSolveOptions &Options = {});
 
 /// Result of one LPAUX solve.
 struct AuxWeights {
@@ -139,27 +151,19 @@ struct AuxWeights {
   std::vector<double> Rho;
   double TotalSlack = 0.0;
   bool Feasible = false;
+  BwpWork Work;
 };
 
 /// LPAUX: weights of one additional instruction \p Inst against the frozen
 /// core. \p FrozenRho is indexed [basicIndex][resource]; kernels may
-/// contain basic instructions and \p Inst.
-///
-/// \p Options threads the pinned-solve knobs through. LPAUX solves run
-/// inside the stage-3 parallelFor, so Options.Exec must stay null there
-/// (the executor is not reentrant), and a caller passing Options.Cache must
-/// scope it to one call (or one task): per-call caches keep the hit
-/// pattern — and hence the solve/pivot stats — independent of scheduling,
-/// which a cache shared across tasks would break. Symmetric resources
-/// make call-local hits frequent (the block digest excludes the resource
-/// index, so structurally identical per-resource blocks collapse).
+/// contain basic instructions and \p Inst. Solves inline, without a block
+/// cache, so it may run inside another fan-out.
 AuxWeights solveAuxWeights(const MappingShape &Shape,
                            const std::map<InstrId, size_t> &IndexOf,
                            const std::vector<std::vector<double>> &FrozenRho,
                            InstrId Inst,
                            const std::vector<WeightKernel> &Kernels,
-                           BwpMode Mode, int MaxPinIterations = 4,
-                           const BwpSolveOptions &Options = {});
+                           BwpMode Mode, int MaxPinIterations = 4);
 
 } // namespace palmed
 

@@ -6,7 +6,6 @@
 
 #include "eval/Harness.h"
 
-#include "palmed/EvalSession.h"
 #include "support/Statistics.h"
 
 #include <algorithm>
@@ -15,27 +14,6 @@
 #include <ostream>
 
 using namespace palmed;
-
-// Defining the deprecated symbol is intentional; only *calls* should warn.
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-
-EvalOutcome palmed::runEvaluation(ThroughputOracle &Native,
-                                  const std::vector<BasicBlock> &Blocks,
-                                  const std::vector<Predictor *> &Predictors,
-                                  const std::string &ReferenceTool) {
-  EvalSession Session(Native, ExecutionPolicy::serial());
-  Session.setReferenceTool(ReferenceTool);
-  for (Predictor *P : Predictors)
-    Session.add(*P);
-  return Session.run(Blocks);
-}
-
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
 
 ToolAccuracy EvalOutcome::accuracy(const std::string &Tool) const {
   ToolAccuracy A;

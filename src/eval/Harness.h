@@ -5,11 +5,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The Fig. 4 harness: run every predictor over a weighted block set,
-/// compare against native (simulated) execution, and compute the paper's
-/// three metrics — coverage, weighted root-mean-square relative IPC error,
-/// and Kendall's tau rank correlation — plus the heatmap histogram of
-/// predicted/native IPC ratio against native IPC (Fig. 4a).
+/// The Fig. 4 evaluation outcome: every predictor's IPC over a weighted
+/// block set next to native (simulated) execution, as palmed::EvalSession
+/// (palmed/EvalSession.h) produces it, and the paper's three metrics —
+/// coverage, weighted root-mean-square relative IPC error, and Kendall's
+/// tau rank correlation — plus the heatmap histogram of predicted/native
+/// IPC ratio against native IPC (Fig. 4a).
 ///
 /// Coverage follows the paper's definition: the fraction of *blocks
 /// supported by Palmed* that the tool could process.
@@ -19,9 +20,7 @@
 #ifndef PALMED_EVAL_HARNESS_H
 #define PALMED_EVAL_HARNESS_H
 
-#include "baselines/Predictor.h"
 #include "eval/Workload.h"
-#include "sim/ThroughputOracle.h"
 
 #include <iosfwd>
 #include <map>
@@ -67,16 +66,6 @@ struct EvalOutcome {
   void printHeatmap(std::ostream &OS, const std::string &Tool, size_t XBins,
                     size_t YBins, double MaxIpc, double MaxRatio) const;
 };
-
-/// Runs \p Predictors over \p Blocks; native IPC comes from \p Native.
-/// \p ReferenceTool names the predictor defining the coverage denominator.
-/// Equivalent to a serial palmed::EvalSession (see palmed/EvalSession.h),
-/// which adds the Parallel execution policy.
-[[deprecated("use palmed::EvalSession (see palmed/palmed.h)")]] EvalOutcome
-runEvaluation(ThroughputOracle &Native,
-              const std::vector<BasicBlock> &Blocks,
-              const std::vector<Predictor *> &Predictors,
-              const std::string &ReferenceTool);
 
 } // namespace palmed
 

@@ -26,11 +26,6 @@
 using namespace palmed;
 using namespace palmed::lp;
 
-LpTelemetry &lp::lpTelemetry() {
-  thread_local LpTelemetry Tel;
-  return Tel;
-}
-
 namespace {
 
 enum class ColStatus : uint8_t { AtLower, Basic };
@@ -315,7 +310,6 @@ void compatPivot(CompatTableau &T, size_t PR, size_t Q, size_t SweepEnd) {
 PhaseResult runCompat(CompatTableau &T, const SimplexOptions &Options,
                       LpRunStats &RS, size_t PriceEnd, size_t SweepEnd) {
   const double Tol = Options.Tolerance;
-  LpTelemetry &Tel = lpTelemetry();
   int StallCount = 0;
   bool UseBland = false;
   double LastObjective = -T.CostRhs;
@@ -367,7 +361,6 @@ PhaseResult runCompat(CompatTableau &T, const SimplexOptions &Options,
 
     compatPivot(T, Leaving, Entering, SweepEnd);
     ++RS.Pivots;
-    ++Tel.Pivots;
 
     double Objective = -T.CostRhs;
     if (Objective < LastObjective - Tol) {
@@ -388,7 +381,6 @@ Solution solveCompatLp(const Model &M, const std::vector<double> &Lo,
                        const SimplexOptions &Options, LpRunStats &RS) {
   const double Tol = Options.Tolerance;
   const size_t NumVars = M.numVars();
-  LpTelemetry &Tel = lpTelemetry();
   Solution Result;
 
   thread_local CompatTableau T;
@@ -444,7 +436,6 @@ Solution solveCompatLp(const Model &M, const std::vector<double> &Lo,
       if (PivotCol != None) {
         compatPivot(T, R, PivotCol, T.ArtStart);
         ++RS.Pivots;
-        ++Tel.Pivots;
       }
     }
   }
@@ -518,7 +509,6 @@ Solution lp::solveLp(const Model &M, const std::vector<BoundOverride> &Overrides
   LpRunStats LocalStats;
   LpRunStats &RS = Stats ? *Stats : LocalStats;
   RS = LpRunStats();
-  ++lpTelemetry().Solves;
 
   // Effective bounds after overrides.
   std::vector<double> Lo(NumVars), Hi(NumVars);

@@ -55,24 +55,6 @@ struct LpRunStats {
   int Pivots = 0;
 };
 
-/// Cheap thread-local accumulation of LP work, for surfacing LP hot-path
-/// cost through PalmedStats and the benches without threading a stats
-/// object through every call site. Snapshot before / after a region and
-/// subtract.
-struct LpTelemetry {
-  long Solves = 0;
-  long Pivots = 0;
-  /// Probes of the LP2/LPAUX block cache (BwpSubproblemCache) and the
-  /// probes it answered without solving. No LP is warm-started; the names
-  /// are historical and kept because PalmedStats and the benches export
-  /// them.
-  long WarmStartAttempts = 0;
-  long WarmStartHits = 0;
-};
-
-/// The calling thread's telemetry accumulator.
-LpTelemetry &lpTelemetry();
-
 /// Solves the LP relaxation of \p M. \p Overrides optionally tightens
 /// variable bounds (used by branch-and-bound); overridden bounds fully
 /// replace the model's bounds for that variable.

@@ -21,7 +21,6 @@
 
 #include "palmed/Pipeline.h"
 
-#include "lp/Simplex.h"
 #include "support/Executor.h"
 
 #include <algorithm>
@@ -149,15 +148,6 @@ struct Pipeline::Impl {
   /// contract.
   BwpSubproblemCache CoreLpCache;
 
-  /// LP2 solve options for the stage-2 call sites (cache, per-resource
-  /// blocks fanned over the pipeline's executor).
-  BwpSolveOptions lp2Options() {
-    BwpSolveOptions O;
-    O.Exec = &Exec;
-    O.Cache = Config.Lp2Cache ? &CoreLpCache : nullptr;
-    return O;
-  }
-
   // NumThreads <= 1 (including a raw 0) is serial, matching EvalSession;
   // the "0 = auto" convention is resolved by ExecutionPolicy::parallel()
   // before a policy ever reaches the pipeline.
@@ -248,7 +238,17 @@ void Pipeline::Impl::solveCoreMapping() {
   const std::vector<InstrId> &Basic = Sel.Basic;
   const double Eps = Config.Epsilon;
   auto T1 = std::chrono::steady_clock::now();
-  const lp::LpTelemetry LpBefore = lp::lpTelemetry();
+  // LP2 fits over CoreKernels (cache, per-resource blocks fanned over the
+  // pipeline's executor); Lp2Work sums the LP work the fits report.
+  BwpWork Lp2Work;
+  auto FitWeights = [&](const std::vector<double> &SoloIpc) {
+    BwpSolveOptions Options;
+    Options.Exec = &Exec;
+    Options.Cache = Config.Lp2Cache ? &CoreLpCache : nullptr;
+    Weights = solveCoreWeights(Shape, IndexOf, CoreKernels, Config.Mode,
+                               /*MaxPinIterations=*/6, SoloIpc, Options);
+    Lp2Work += Weights.Work;
+  };
 
   // Seed benchmarks: {a}, {aabb}, {aMb} per compatible pair (Algo 2 line 2).
   auto AddKernel = [&](const Microkernel &K) {
@@ -408,9 +408,7 @@ void Pipeline::Impl::solveCoreMapping() {
     CoreKernels.clear();
     for (const KernelObservation &Obs : Observations)
       CoreKernels.push_back({Obs.K, Obs.Ipc, -1});
-    Weights =
-        solveCoreWeights(Shape, IndexOf, CoreKernels, Config.Mode,
-                         lp2Options());
+    FitWeights({});
 
     size_t ForcedBefore = ForcedResources.size();
     {
@@ -479,9 +477,7 @@ void Pipeline::Impl::solveCoreMapping() {
   CoreKernels.clear();
   for (const KernelObservation &Obs : Observations)
     CoreKernels.push_back({Obs.K, Obs.Ipc, -1});
-  Weights = solveCoreWeights(Shape, IndexOf, CoreKernels, Config.Mode,
-                             lp2Options(), /*MaxPinIterations=*/6,
-                             std::vector<double>(Basic.size(), 1.0));
+  FitWeights(std::vector<double>(Basic.size(), 1.0));
 
   // ---- Set-cover trim. ----
   // The refinement loop leaves redundant fragment resources behind; keep a
@@ -677,22 +673,16 @@ void Pipeline::Impl::solveCoreMapping() {
       }
     }
   }
-  Weights = solveCoreWeights(Shape, IndexOf, CoreKernels, Config.Mode,
-                             lp2Options(), /*MaxPinIterations=*/6, BasicIpc);
+  FitWeights(BasicIpc);
   Sat = PickSaturating(Weights.Rho);
   Result.SaturatingKernels = Sat;
   Result.Stats.NumCoreKernels = CoreKernels.size();
   Result.Stats.CoreSlack = Weights.TotalSlack;
   Result.Stats.CoreMappingSeconds = secondsSince(T1);
-  {
-    const lp::LpTelemetry &LpNow = lp::lpTelemetry();
-    Result.Stats.CoreLpSolves = LpNow.Solves - LpBefore.Solves;
-    Result.Stats.CoreLpPivots = LpNow.Pivots - LpBefore.Pivots;
-    Result.Stats.LpWarmStartAttempts +=
-        LpNow.WarmStartAttempts - LpBefore.WarmStartAttempts;
-    Result.Stats.LpWarmStartHits +=
-        LpNow.WarmStartHits - LpBefore.WarmStartHits;
-  }
+  Result.Stats.CoreLpSolves = Lp2Work.Solves;
+  Result.Stats.CoreLpPivots = Lp2Work.Pivots;
+  Result.Stats.LpWarmStartAttempts += Lp2Work.CacheProbes;
+  Result.Stats.LpWarmStartHits += Lp2Work.CacheHits;
 
   // ---- Materialize the core mapping. ----
   for (size_t R = 0; R < NumRes; ++R)
@@ -740,13 +730,11 @@ void Pipeline::Impl::completeMapping() {
   // so the dedup removes most of the stage's LP work; each group probe
   // counts as a warm-start attempt and each duplicate as a hit. Grouping
   // happens serially from index-ordered phase-A slots and every task
-  // writes only its own slot — including its thread-local LP telemetry
-  // delta — so the mapping and the stats are bit-identical to a serial
-  // run.
+  // writes only its own slot, so the mapping and the stats are
+  // bit-identical to a serial run.
   struct AuxSlot {
     std::vector<WeightKernel> Kernels; ///< Phase A output.
     AuxWeights Aux;
-    lp::LpTelemetry Lp;
     size_t Rep = 0; ///< Group representative (== own index for uniques).
   };
   std::vector<AuxSlot> Slots(NumTotal);
@@ -818,25 +806,9 @@ void Pipeline::Impl::completeMapping() {
     checkCancelled();
     const size_t Idx = UniqueIdx[U];
     const InstrId Inst = AuxInstrs[Idx];
-    const lp::LpTelemetry TelBefore = lp::lpTelemetry();
-
-    // Default options, so no executor: this already runs inside a
-    // parallelFor, and the executor is not reentrant.
     Slots[Idx].Aux =
         solveAuxWeights(Shape, IndexOf, Weights.Rho, Inst, Slots[Idx].Kernels,
                         Config.Mode, /*MaxPinIterations=*/4);
-    {
-      // The solve is a deterministic function of the instruction, so the
-      // per-task delta (and the index-ordered sum below) is independent
-      // of scheduling.
-      const lp::LpTelemetry &TelNow = lp::lpTelemetry();
-      Slots[Idx].Lp.Solves = TelNow.Solves - TelBefore.Solves;
-      Slots[Idx].Lp.Pivots = TelNow.Pivots - TelBefore.Pivots;
-      Slots[Idx].Lp.WarmStartAttempts =
-          TelNow.WarmStartAttempts - TelBefore.WarmStartAttempts;
-      Slots[Idx].Lp.WarmStartHits =
-          TelNow.WarmStartHits - TelBefore.WarmStartHits;
-    }
 
     if (Observer) {
       std::lock_guard<std::mutex> Lock(ProgressMutex);
@@ -847,7 +819,8 @@ void Pipeline::Impl::completeMapping() {
   // Serial reduction, in selection order. Duplicates replay their
   // representative's weights (bit-identical by construction: the solver is
   // deterministic and their problems are structurally equal) and report
-  // their progress here, after the fan-out.
+  // their progress here, after the fan-out; only representatives add LP
+  // work.
   for (size_t Idx = 0; Idx < NumTotal; ++Idx) {
     const InstrId Inst = AuxInstrs[Idx];
     AuxSlot &Slot = Slots[Idx];
@@ -859,11 +832,10 @@ void Pipeline::Impl::completeMapping() {
       ++Result.Stats.LpWarmStartHits; // Deduplicated against the group.
       if (Observer)
         Observer->onInstructionMapped(Inst, ++NumDone, NumTotal);
+    } else {
+      Result.Stats.CompleteLpSolves += Slot.Aux.Work.Solves;
+      Result.Stats.CompleteLpPivots += Slot.Aux.Work.Pivots;
     }
-    Result.Stats.CompleteLpSolves += Slot.Lp.Solves;
-    Result.Stats.CompleteLpPivots += Slot.Lp.Pivots;
-    Result.Stats.LpWarmStartAttempts += Slot.Lp.WarmStartAttempts;
-    Result.Stats.LpWarmStartHits += Slot.Lp.WarmStartHits;
     if (!Slot.Aux.Feasible)
       continue; // Mapped with no usage: visible as an explicit gap.
     for (size_t R = 0; R < NumRes; ++R)

@@ -6,7 +6,8 @@
 
 #include "serve/MappingIO.h"
 
-#include <algorithm>
+#include "serve/ByteCodec.h"
+
 #include <array>
 #include <cstdint>
 #include <cstring>
@@ -15,98 +16,11 @@
 
 using namespace palmed;
 using namespace palmed::serve;
+using namespace palmed::serve::bytes;
 
 namespace {
 
 constexpr char Magic[8] = {'P', 'L', 'M', 'D', 'M', 'A', 'P', 'B'};
-
-/// Little-endian append helpers. Explicit byte packing keeps the format
-/// identical across hosts (and makes the round trip bit-exact for doubles,
-/// which travel as their raw IEEE-754 words).
-void putU16(std::string &Out, uint16_t V) {
-  for (int I = 0; I < 2; ++I)
-    Out.push_back(static_cast<char>((V >> (8 * I)) & 0xff));
-}
-
-void putU32(std::string &Out, uint32_t V) {
-  for (int I = 0; I < 4; ++I)
-    Out.push_back(static_cast<char>((V >> (8 * I)) & 0xff));
-}
-
-void putU64(std::string &Out, uint64_t V) {
-  for (int I = 0; I < 8; ++I)
-    Out.push_back(static_cast<char>((V >> (8 * I)) & 0xff));
-}
-
-void putF64(std::string &Out, double V) {
-  uint64_t Bits;
-  static_assert(sizeof(Bits) == sizeof(V), "double must be 64-bit");
-  std::memcpy(&Bits, &V, sizeof(Bits));
-  putU64(Out, Bits);
-}
-
-void putStr(std::string &Out, const std::string &S) {
-  // 16-bit length prefix: truncate rather than write a record whose
-  // prefix disagrees with its body. Names here (machine, resource) are
-  // always far below 64 KiB in practice.
-  size_t Len = std::min<size_t>(S.size(), UINT16_MAX);
-  putU16(Out, static_cast<uint16_t>(Len));
-  Out.append(S, 0, Len);
-}
-
-/// Bounds-checked little-endian reader over a byte string. Reads past the
-/// end latch Fail instead of throwing, so a parser can run to completion
-/// and report one typed error.
-class ByteReader {
-public:
-  ByteReader(const std::string &Bytes, size_t Offset = 0)
-      : Data(Bytes), Pos(Offset) {}
-
-  bool fail() const { return Failed; }
-  size_t pos() const { return Pos; }
-  size_t remaining() const { return Failed ? 0 : Data.size() - Pos; }
-
-  uint16_t u16() { return static_cast<uint16_t>(uint(2)); }
-  uint32_t u32() { return static_cast<uint32_t>(uint(4)); }
-  uint64_t u64() { return uint(8); }
-
-  double f64() {
-    uint64_t Bits = uint(8);
-    double V = 0.0;
-    std::memcpy(&V, &Bits, sizeof(V));
-    return V;
-  }
-
-  std::string str() {
-    uint16_t Len = u16();
-    if (Failed || Data.size() - Pos < Len) {
-      Failed = true;
-      return {};
-    }
-    std::string S = Data.substr(Pos, Len);
-    Pos += Len;
-    return S;
-  }
-
-private:
-  uint64_t uint(int NumBytes) {
-    if (Failed || Data.size() - Pos < static_cast<size_t>(NumBytes)) {
-      Failed = true;
-      return 0;
-    }
-    uint64_t V = 0;
-    for (int I = 0; I < NumBytes; ++I)
-      V |= static_cast<uint64_t>(
-               static_cast<unsigned char>(Data[Pos + I]))
-           << (8 * I);
-    Pos += NumBytes;
-    return V;
-  }
-
-  const std::string &Data;
-  size_t Pos;
-  bool Failed = false;
-};
 
 void setError(MappingIOError *Err, MappingIOStatus Status,
               std::string Message) {
@@ -205,7 +119,7 @@ std::string palmed::serve::serializeMapping(const ResourceMapping &Mapping,
   std::string Payload;
   putU32(Payload, static_cast<uint32_t>(Mapping.numResources()));
   for (ResourceId R = 0; R < Mapping.numResources(); ++R) {
-    putStr(Payload, Mapping.resourceName(R));
+    putStr16(Payload, Mapping.resourceName(R));
     putF64(Payload, Mapping.resourceThroughput(R));
   }
   putU32(Payload, static_cast<uint32_t>(Mapping.numInstructions()));
@@ -235,7 +149,7 @@ std::string palmed::serve::serializeMapping(const ResourceMapping &Mapping,
   std::string Out;
   Out.append(Magic, sizeof(Magic));
   putU32(Out, MappingFormatVersion);
-  putStr(Out, Machine.name());
+  putStr16(Out, Machine.name());
   putU64(Out, machineDigest(Machine));
   putU32(Out, static_cast<uint32_t>(Payload.size()));
   putU32(Out, crc32(Payload.data(), Payload.size()));
@@ -258,7 +172,7 @@ palmed::serve::deserializeMapping(const std::string &Bytes,
     return std::nullopt;
   }
 
-  ByteReader Header(Bytes, sizeof(Magic));
+  Reader Header(Bytes, sizeof(Magic));
   uint32_t Version = Header.u32();
   if (!Header.fail() && Version != MappingFormatVersion) {
     setError(Err, MappingIOStatus::BadVersion,
@@ -267,7 +181,7 @@ palmed::serve::deserializeMapping(const std::string &Bytes,
                  std::to_string(MappingFormatVersion) + ")");
     return std::nullopt;
   }
-  std::string MachineName = Header.str();
+  std::string MachineName = Header.str16();
   uint64_t Digest = Header.u64();
   uint32_t PayloadSize = Header.u32();
   uint32_t PayloadCrc = Header.u32();
@@ -298,7 +212,7 @@ palmed::serve::deserializeMapping(const std::string &Bytes,
     return std::nullopt;
   }
 
-  ByteReader R(Bytes, Header.pos());
+  Reader R(Bytes, Header.pos());
   auto Malformed = [&](const char *What) -> std::optional<ResourceMapping> {
     setError(Err, MappingIOStatus::Malformed,
              std::string("malformed mapping payload: ") + What);
@@ -308,7 +222,7 @@ palmed::serve::deserializeMapping(const std::string &Bytes,
   ResourceMapping M(Machine.numInstructions());
   uint32_t NumResources = R.u32();
   for (uint32_t I = 0; I < NumResources && !R.fail(); ++I) {
-    std::string Name = R.str();
+    std::string Name = R.str16();
     double Throughput = R.f64();
     if (R.fail() || Throughput <= 0.0)
       return Malformed("bad resource record");

@@ -18,15 +18,12 @@ PredictionCache::shardFor(const std::string &Key) const {
   return Shards[std::hash<std::string>{}(Key) % NumShards];
 }
 
-bool PredictionCache::lookup(const std::string &KernelText,
-                             Prediction &Out) const {
-  const Shard &S = shardFor(KernelText);
+std::pair<const Prediction *, bool>
+PredictionCache::insert(const std::string &KernelText, Prediction P) {
+  Shard &S = shardFor(KernelText);
   std::lock_guard<std::mutex> Lock(S.M);
-  auto It = S.Done.find(KernelText);
-  if (It == S.Done.end())
-    return false;
-  Out = It->second;
-  return true;
+  auto [It, Inserted] = S.Done.try_emplace(KernelText, std::move(P));
+  return {&It->second, !Inserted};
 }
 
 const Prediction *
@@ -44,46 +41,4 @@ size_t PredictionCache::size() const {
     Total += S.Done.size();
   }
   return Total;
-}
-
-Prediction
-PredictionCache::getOrCompute(const std::string &KernelText,
-                              const std::function<Prediction()> &Compute,
-                              bool *WasHit) {
-  Shard &S = shardFor(KernelText);
-  {
-    std::unique_lock<std::mutex> Lock(S.M);
-    for (;;) {
-      auto It = S.Done.find(KernelText);
-      if (It != S.Done.end()) {
-        if (WasHit)
-          *WasHit = true;
-        return It->second;
-      }
-      if (!S.InFlight.count(KernelText))
-        break;
-      // Another worker is predicting this very kernel: wait and replay
-      // its entry instead of computing a duplicate.
-      S.Cv.wait(Lock);
-    }
-    S.InFlight.insert(KernelText);
-  }
-  if (WasHit)
-    *WasHit = false;
-
-  Prediction P;
-  try {
-    P = Compute();
-  } catch (...) {
-    std::lock_guard<std::mutex> Lock(S.M);
-    S.InFlight.erase(KernelText);
-    S.Cv.notify_all();
-    throw;
-  }
-
-  std::lock_guard<std::mutex> Lock(S.M);
-  S.InFlight.erase(KernelText);
-  S.Done.emplace(KernelText, P);
-  S.Cv.notify_all();
-  return P;
 }

@@ -5,15 +5,14 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The in-memory prediction cache fronting a served mapping, reusing the
-/// 16-way sharded in-flight-dedup design of sim/BenchmarkRunner: entries
-/// are keyed by the *kernel text* as received on the wire, so a cache hit
-/// costs one string hash and one map probe — no kernel parsing, no
-/// resource scan. A miss parses and predicts once while marked in-flight
-/// in its shard; concurrent requests for the same kernel (same batch or
-/// another connection) wait on the shard's condition variable and replay
-/// the finished entry, so every distinct kernel is evaluated exactly once
-/// regardless of how many connections hammer it.
+/// The in-memory prediction cache fronting a served mapping, 16-way
+/// sharded by key hash: entries are keyed by the *kernel text* as received
+/// on the wire, so a cache hit costs one string hash and one map probe —
+/// no kernel parsing, no resource scan. A miss is predicted by the caller
+/// and published with insert(); the first insert of a key wins. Two
+/// connections that miss the same kernel together both predict it, and
+/// one entry is kept (predictions are deterministic, so both computed the
+/// same answer).
 ///
 /// Parse failures and unsupported kernels are cached too: hostile or
 /// sloppy clients repeating a bad kernel must not re-pay the parse on
@@ -24,13 +23,11 @@
 #ifndef PALMED_SERVE_PREDICTIONCACHE_H
 #define PALMED_SERVE_PREDICTIONCACHE_H
 
-#include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <mutex>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
+#include <utility>
 #include <vector>
 
 namespace palmed {
@@ -49,36 +46,27 @@ struct Prediction {
   std::string Wire;
 };
 
-/// Sharded, in-flight-deduplicating cache: kernel text -> Prediction.
+/// Sharded cache: kernel text -> Prediction. Entry pointers stay valid
+/// for the cache's lifetime: entries are never erased or mutated once
+/// published, and unordered_map values are address-stable.
 class PredictionCache {
 public:
-  /// Returns the cached prediction for \p KernelText, computing it with
-  /// \p Compute on a miss. \p WasHit reports whether this call found (or
-  /// waited for) an existing entry instead of computing one. Thread-safe;
-  /// \p Compute runs outside the shard lock and is invoked exactly once
-  /// per distinct key.
-  Prediction getOrCompute(const std::string &KernelText,
-                          const std::function<Prediction()> &Compute,
-                          bool *WasHit = nullptr);
+  /// Publishes \p P under \p KernelText unless the key already has an
+  /// entry (first insert wins). Returns the key's entry and whether it
+  /// existed before this call. Thread-safe.
+  std::pair<const Prediction *, bool> insert(const std::string &KernelText,
+                                             Prediction P);
 
-  /// Peeks without computing; returns false on miss (in-flight entries
-  /// count as misses — the caller is not willing to wait).
-  bool lookup(const std::string &KernelText, Prediction &Out) const;
-
-  /// Like lookup, but returns a pointer into the cache instead of a copy.
-  /// Valid for the cache's lifetime: entries are never erased or mutated
-  /// once published, and unordered_map values are address-stable.
+  /// The entry of \p KernelText, or null on a miss. Thread-safe.
   const Prediction *lookupPtr(const std::string &KernelText) const;
 
-  /// Number of finished entries across all shards.
+  /// Number of entries across all shards.
   size_t size() const;
 
 private:
   struct Shard {
     mutable std::mutex M;
-    std::condition_variable Cv;
     std::unordered_map<std::string, Prediction> Done;
-    std::unordered_set<std::string> InFlight;
   };
   static constexpr size_t NumShards = 16;
 

@@ -6,112 +6,19 @@
 
 #include "serve/Protocol.h"
 
+#include "serve/ByteCodec.h"
+
 #include <algorithm>
 #include <cerrno>
 #include <cstdint>
-#include <cstring>
 #include <sys/socket.h>
 #include <unistd.h>
 
 using namespace palmed;
 using namespace palmed::serve;
+using namespace palmed::serve::bytes;
 
 namespace {
-
-void putU8(std::string &Out, uint8_t V) {
-  Out.push_back(static_cast<char>(V));
-}
-
-void putU16(std::string &Out, uint16_t V) {
-  for (int I = 0; I < 2; ++I)
-    Out.push_back(static_cast<char>((V >> (8 * I)) & 0xff));
-}
-
-void putU32(std::string &Out, uint32_t V) {
-  for (int I = 0; I < 4; ++I)
-    Out.push_back(static_cast<char>((V >> (8 * I)) & 0xff));
-}
-
-void putU64(std::string &Out, uint64_t V) {
-  for (int I = 0; I < 8; ++I)
-    Out.push_back(static_cast<char>((V >> (8 * I)) & 0xff));
-}
-
-void putF64(std::string &Out, double V) {
-  uint64_t Bits;
-  std::memcpy(&Bits, &V, sizeof(Bits));
-  putU64(Out, Bits);
-}
-
-void putStr16(std::string &Out, const std::string &S) {
-  // The length prefix is 16-bit; truncate rather than emit a record whose
-  // prefix disagrees with its body (an undecodable frame). Reachable via
-  // e.g. an ErrorResponse echoing a client-supplied machine name.
-  size_t Len = std::min<size_t>(S.size(), UINT16_MAX);
-  putU16(Out, static_cast<uint16_t>(Len));
-  Out.append(S, 0, Len);
-}
-
-void putStr32(std::string &Out, const std::string &S) {
-  putU32(Out, static_cast<uint32_t>(S.size()));
-  Out.append(S);
-}
-
-/// Bounds-checked little-endian reader (same shape as MappingIO's; kept
-/// local because the two formats version independently).
-class Reader {
-public:
-  explicit Reader(const std::string &Bytes, size_t Offset = 0)
-      : Data(Bytes), Pos(Offset) {}
-
-  bool fail() const { return Failed; }
-  bool atEnd() const { return !Failed && Pos == Data.size(); }
-  size_t remaining() const { return Failed ? 0 : Data.size() - Pos; }
-
-  uint8_t u8() { return static_cast<uint8_t>(uint(1)); }
-  uint16_t u16() { return static_cast<uint16_t>(uint(2)); }
-  uint32_t u32() { return static_cast<uint32_t>(uint(4)); }
-  uint64_t u64() { return uint(8); }
-
-  double f64() {
-    uint64_t Bits = uint(8);
-    double V = 0.0;
-    std::memcpy(&V, &Bits, sizeof(V));
-    return V;
-  }
-
-  std::string str16() { return bytes(u16()); }
-  std::string str32() { return bytes(u32()); }
-
-private:
-  std::string bytes(size_t Len) {
-    if (Failed || Data.size() - Pos < Len) {
-      Failed = true;
-      return {};
-    }
-    std::string S = Data.substr(Pos, Len);
-    Pos += Len;
-    return S;
-  }
-
-  uint64_t uint(int NumBytes) {
-    if (Failed || Data.size() - Pos < static_cast<size_t>(NumBytes)) {
-      Failed = true;
-      return 0;
-    }
-    uint64_t V = 0;
-    for (int I = 0; I < NumBytes; ++I)
-      V |= static_cast<uint64_t>(
-               static_cast<unsigned char>(Data[Pos + I]))
-           << (8 * I);
-    Pos += NumBytes;
-    return V;
-  }
-
-  const std::string &Data;
-  size_t Pos;
-  bool Failed = false;
-};
 
 bool hasType(const std::string &Payload, MsgType T) {
   return !Payload.empty() &&

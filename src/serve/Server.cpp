@@ -162,48 +162,32 @@ std::optional<std::string> Server::evaluateWire(const QueryRequest &Request,
   }
 
   if (!MissPos.empty()) {
-    // Dedupe the missing texts; each distinct one is computed once.
-    std::unordered_map<std::string_view, uint64_t> Count;
+    // Dedupe the missing texts; each distinct one is predicted once.
+    std::unordered_map<std::string_view, size_t> DistinctOf;
     std::vector<const std::string *> Distinct;
+    std::vector<size_t> MissDistinct; // Distinct index of each miss.
     for (size_t I : MissPos) {
-      auto [It, Inserted] = Count.try_emplace(
-          std::string_view(Request.Kernels[I]), 0);
+      auto [It, Inserted] =
+          DistinctOf.try_emplace(Request.Kernels[I], Distinct.size());
       if (Inserted)
         Distinct.push_back(&Request.Kernels[I]);
-      ++It->second;
+      MissDistinct.push_back(It->second);
     }
-    std::vector<char> WasHit(Distinct.size(), 0);
     std::vector<Prediction> Computed = predictDistinct(*M, Distinct);
-    for (size_t I = 0; I < Distinct.size(); ++I) {
-      // getOrCompute publishes the precomputed answer; if another
-      // connection raced us to the same kernel we merely discard a
-      // duplicate of the same deterministic result (WasHit reports it as
-      // a hit, exactly as before).
-      bool H = false;
-      M->Cache->getOrCompute(
-          *Distinct[I], [&] { return std::move(Computed[I]); }, &H);
-      WasHit[I] = H ? 1 : 0;
-    }
+    std::vector<const Prediction *> Entries(Distinct.size());
     for (size_t D = 0; D < Distinct.size(); ++D) {
-      uint64_t Occ = Count[std::string_view(*Distinct[D])];
-      if (WasHit[D]) {
-        // Raced with another connection computing the same kernel.
-        BatchHits += Occ;
-      } else {
-        BatchMisses += 1;
-        BatchHits += Occ - 1; // In-batch duplicates of a computed kernel.
-      }
+      // First insert wins: a connection that raced us to the same kernel
+      // published the same deterministic answer, and serving its entry
+      // counts as a hit.
+      auto [Entry, Existed] =
+          M->Cache->insert(*Distinct[D], std::move(Computed[D]));
+      Entries[D] = Entry;
+      BatchMisses += Existed ? 0 : 1;
     }
-    for (size_t I : MissPos) {
-      Per[I] = M->Cache->lookupPtr(Request.Kernels[I]);
-      if (!Per[I]) {
-        // Unreachable after a successful getOrCompute; guard anyway so a
-        // skipped compute degrades to an error instead of a null deref.
-        if (Error)
-          *Error = "internal error: prediction missing after compute";
-        return std::nullopt;
-      }
-    }
+    // Every other miss is an in-batch duplicate or a raced kernel.
+    BatchHits += MissPos.size() - BatchMisses;
+    for (size_t J = 0; J < MissPos.size(); ++J)
+      Per[MissPos[J]] = Entries[MissDistinct[J]];
   }
 
   std::string Out;
@@ -226,15 +210,6 @@ std::optional<std::string> Server::evaluateWire(const QueryRequest &Request,
   if (Error)
     Error->clear();
   return Out;
-}
-
-QueryResponse Server::evaluate(const QueryRequest &Request, uint64_t *Hits,
-                               uint64_t *Misses, std::string *Error) {
-  auto Wire = evaluateWire(Request, Hits, Misses, Error);
-  if (!Wire)
-    return {};
-  auto Decoded = decodeQueryResponse(*Wire);
-  return Decoded ? std::move(*Decoded) : QueryResponse{};
 }
 
 void Server::bind() {

@@ -19,9 +19,9 @@
 /// batch pass fans over a shared palmed::Executor (serialized by a mutex —
 /// the executor is single-driver by contract); cache hits never touch the
 /// executor. Each served machine fronts its mapping with a
-/// PredictionCache; results are inserted via getOrCompute, so a concurrent
-/// connection racing on the same kernel at worst duplicates deterministic
-/// work and still observes one canonical entry.
+/// PredictionCache; results are published with its first-insert-wins
+/// insert, so a concurrent connection racing on the same kernel at worst
+/// duplicates deterministic work and still observes one canonical entry.
 ///
 /// Lifecycle: addMachine() while stopped, bind(), then serve() until
 /// requestStop() — which is async-signal-safe (it only stores a flag), so
@@ -143,15 +143,11 @@ public:
                               ConnectionState &Conn);
 
   /// Evaluates one batched query in-process (the exact code path a
-  /// connection runs, minus the socket). Exposed for bench_serve and
-  /// direct embedding. \p Hits / \p Misses are incremented per kernel.
-  QueryResponse evaluate(const QueryRequest &Request, uint64_t *Hits,
-                         uint64_t *Misses, std::string *Error);
-
-  /// The wire-level hot path: evaluates the batch straight to an encoded
+  /// connection runs, minus the socket) straight to an encoded
   /// QueryResponse payload, serving every cache hit by appending its
-  /// pre-encoded answer record. nullopt with *Error set on request-level
-  /// failure (unknown machine, oversized batch).
+  /// pre-encoded answer record. \p Hits / \p Misses are incremented per
+  /// kernel. nullopt with *Error set on request-level failure (unknown
+  /// machine, oversized batch).
   std::optional<std::string> evaluateWire(const QueryRequest &Request,
                                           uint64_t *Hits, uint64_t *Misses,
                                           std::string *Error);

@@ -3,10 +3,9 @@
 // Part of the PALMED reproduction.
 //
 // Tests of the include/palmed/ facade: the staged Pipeline (equivalence
-// with the one-shot wrapper, observer callbacks, stage ordering,
-// cancellation), the PredictorRegistry, and the EvalSession execution
-// policies (Serial vs Parallel determinism, clone/mutex fallbacks, and
-// equivalence with the deprecated runEvaluation).
+// with run(), observer callbacks, stage ordering, cancellation), the
+// PredictorRegistry, and the EvalSession execution policies (Serial vs
+// Parallel determinism, clone/mutex fallbacks).
 //
 //===----------------------------------------------------------------------===//
 
@@ -18,14 +17,6 @@
 #include <cstring>
 #include <stdexcept>
 #include <vector>
-
-// The wrapper-equivalence tests below call the deprecated entry points on
-// purpose.
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-#include "core/PalmedDriver.h"
-#include "eval/Harness.h"
 
 using namespace palmed;
 
@@ -70,12 +61,12 @@ void expectSameMapping(const ResourceMapping &A, const ResourceMapping &B,
 // Pipeline.
 //===----------------------------------------------------------------------===//
 
-TEST(ApiPipeline, StagedRunEqualsOneShotWrapper) {
+TEST(ApiPipeline, StagedRunEqualsRun) {
   MachineModel M = makeFig1Machine();
   AnalyticOracle O(M);
 
   BenchmarkRunner R1(M, O);
-  PalmedResult OneShot = runPalmed(R1); // Deprecated wrapper.
+  const PalmedResult OneShot = Pipeline(R1).run();
 
   BenchmarkRunner R2(M, O);
   Pipeline P(R2);
@@ -101,7 +92,7 @@ TEST(ApiPipeline, RunResumesAfterInspectedStages) {
   MachineModel M = makeFig1Machine();
   AnalyticOracle O(M);
   BenchmarkRunner R1(M, O);
-  PalmedResult OneShot = runPalmed(R1);
+  const PalmedResult OneShot = Pipeline(R1).run();
 
   BenchmarkRunner R2(M, O);
   Pipeline P(R2);
@@ -539,25 +530,6 @@ TEST(ApiEvalSession, SerialAndParallelOutcomesAreIdentical) {
   // Sanity: the parallel run really carries predictions.
   ToolAccuracy A = Par4.accuracy("iaca");
   EXPECT_DOUBLE_EQ(A.CoveragePct, 100.0);
-}
-
-TEST(ApiEvalSession, MatchesDeprecatedRunEvaluation) {
-  MachineModel M = makeSklLike();
-  AnalyticOracle O(M);
-  auto Iaca = makeIacaLikePredictor(M);
-  auto Mca = makeLlvmMcaLikePredictor(M);
-  WorkloadConfig WCfg;
-  WCfg.NumBlocks = 120;
-  auto Blocks = generateWorkload(M, WCfg);
-
-  EvalOutcome Old = runEvaluation(O, Blocks, {Iaca.get(), Mca.get()},
-                                  "iaca"); // Deprecated wrapper.
-
-  EvalSession S(O, ExecutionPolicy::parallel(3));
-  S.setReferenceTool("iaca");
-  S.add(*Iaca);
-  S.add(*Mca);
-  expectSameOutcome(Old, S.run(Blocks));
 }
 
 TEST(ApiEvalSession, RejectsDuplicateAndNullPredictors) {

@@ -3,18 +3,17 @@
 // Part of the PALMED reproduction.
 //
 // The stage-2 fit accepts solve-strategy knobs (BwpSolveOptions:
-// subproblem cache, model-buffer reuse, executor fan-out of the
-// per-resource blocks) whose contract is that every combination produces
-// bit-identical weights — they only trade work. These tests pin that
-// contract down, both on direct solveCoreWeights calls (where pivot counts
-// can be bracketed exactly) and end-to-end through the pipeline on the
-// shipped machine profiles.
+// subproblem cache, executor fan-out of the per-resource blocks) whose
+// contract is that every combination produces bit-identical weights —
+// they only trade work. These tests pin that contract down, both on
+// direct solveCoreWeights calls (whose returned work can be bracketed
+// exactly) and end-to-end through the pipeline on the shipped machine
+// profiles.
 //
 //===----------------------------------------------------------------------===//
 
 #include "core/BwpSolver.h"
 #include "lp/Model.h"
-#include "lp/Simplex.h"
 #include "palmed/palmed.h"
 #include "support/Executor.h"
 
@@ -76,21 +75,13 @@ struct TwoComponentFixture {
   }
 };
 
-/// Runs solveCoreWeights under \p Opts and returns the weights plus the
-/// exact LP telemetry delta of the call.
+/// Runs solveCoreWeights under \p Opts; the result carries the call's
+/// work.
 CoreWeights solveWith(const TwoComponentFixture &F,
-                      const BwpSolveOptions &Opts, lp::LpTelemetry &Delta,
+                      const BwpSolveOptions &Opts,
                       const std::vector<double> &SoloIpc = {}) {
-  const lp::LpTelemetry Before = lp::lpTelemetry();
-  CoreWeights W = solveCoreWeights(F.Shape, F.IndexOf, F.kernels(),
-                                   BwpMode::Pinned, Opts,
-                                   /*MaxPinIterations=*/6, SoloIpc);
-  const lp::LpTelemetry &Now = lp::lpTelemetry();
-  Delta.Solves = Now.Solves - Before.Solves;
-  Delta.Pivots = Now.Pivots - Before.Pivots;
-  Delta.WarmStartAttempts = Now.WarmStartAttempts - Before.WarmStartAttempts;
-  Delta.WarmStartHits = Now.WarmStartHits - Before.WarmStartHits;
-  return W;
+  return solveCoreWeights(F.Shape, F.IndexOf, F.kernels(), BwpMode::Pinned,
+                          /*MaxPinIterations=*/6, SoloIpc, Opts);
 }
 
 /// Bitwise equality of two weight matrices (the contract is bit-identical,
@@ -105,11 +96,11 @@ void expectBitwiseEqual(const CoreWeights &A, const CoreWeights &B) {
   EXPECT_EQ(A.TotalSlack, B.TotalSlack);
 }
 
-void expectSameTelemetry(const lp::LpTelemetry &A, const lp::LpTelemetry &B) {
+void expectSameWork(const BwpWork &A, const BwpWork &B) {
   EXPECT_EQ(A.Solves, B.Solves);
   EXPECT_EQ(A.Pivots, B.Pivots);
-  EXPECT_EQ(A.WarmStartAttempts, B.WarmStartAttempts);
-  EXPECT_EQ(A.WarmStartHits, B.WarmStartHits);
+  EXPECT_EQ(A.CacheProbes, B.CacheProbes);
+  EXPECT_EQ(A.CacheHits, B.CacheHits);
 }
 
 } // namespace
@@ -225,33 +216,26 @@ TEST(Lp2Equivalence, DecomposeOnOffBitwise) {
       BwpSubproblemCache JointCache, SplitCache;
       BwpSolveOptions Joint;
       Joint.Cache = WithCache ? &JointCache : nullptr;
-      lp::LpTelemetry JointTel;
-      CoreWeights WJoint =
-          solveWith(TwoComponentFixture(), Joint, JointTel, SoloIpc);
+      CoreWeights WJoint = solveWith(TwoComponentFixture(), Joint, SoloIpc);
 
       BwpSolveOptions Split;
       Split.Cache = WithCache ? &SplitCache : nullptr;
-      lp::LpTelemetry SplitTel;
       CoreWeights WSplit;
       WSplit.Rho.assign(4, std::vector<double>(4, 0.0));
       for (size_t C = 0; C < 2; ++C) {
         std::vector<double> PartSoloIpc;
         if (!SoloIpc.empty())
           PartSoloIpc = {SoloIpc[2 * C], SoloIpc[2 * C + 1]};
-        lp::LpTelemetry Tel;
         CoreWeights W = solveWith(TwoComponentFixture::component(C), Split,
-                                  Tel, PartSoloIpc);
+                                  PartSoloIpc);
         for (size_t I = 0; I < 2; ++I)
           for (size_t R = 0; R < 2; ++R)
             WSplit.Rho[2 * C + I][2 * C + R] = W.Rho[I][R];
         WSplit.TotalSlack += W.TotalSlack;
-        SplitTel.Solves += Tel.Solves;
-        SplitTel.Pivots += Tel.Pivots;
-        SplitTel.WarmStartAttempts += Tel.WarmStartAttempts;
-        SplitTel.WarmStartHits += Tel.WarmStartHits;
+        WSplit.Work += W.Work;
       }
       expectBitwiseEqual(WSplit, WJoint);
-      expectSameTelemetry(SplitTel, JointTel);
+      expectSameWork(WSplit.Work, WJoint.Work);
       EXPECT_EQ(SplitCache.numEntries(), JointCache.numEntries());
     }
   }
@@ -260,30 +244,28 @@ TEST(Lp2Equivalence, DecomposeOnOffBitwise) {
 TEST(Lp2Equivalence, CacheOnOffBitwiseValues) {
   TwoComponentFixture F;
   BwpSubproblemCache Cache;
-  lp::LpTelemetry Warm, Cold;
   BwpSolveOptions Cached;
   Cached.Cache = &Cache;
   BwpSolveOptions Uncached;
-  CoreWeights WCold = solveWith(F, Uncached, Cold);
-  CoreWeights WWarm = solveWith(F, Cached, Warm);
+  CoreWeights WCold = solveWith(F, Uncached);
+  CoreWeights WWarm = solveWith(F, Cached);
   expectBitwiseEqual(WWarm, WCold);
-  EXPECT_GT(Warm.WarmStartAttempts, 0);
-  EXPECT_EQ(Cold.WarmStartAttempts, 0);
+  EXPECT_GT(WWarm.Work.CacheProbes, 0);
+  EXPECT_EQ(WCold.Work.CacheProbes, 0);
   // A second cached solve of the identical problem replays every block.
-  lp::LpTelemetry Replay;
-  CoreWeights WReplay = solveWith(F, Cached, Replay);
+  CoreWeights WReplay = solveWith(F, Cached);
   expectBitwiseEqual(WReplay, WCold);
-  EXPECT_GT(Replay.WarmStartHits, 0);
-  EXPECT_LT(Replay.Pivots, Cold.Pivots);
+  EXPECT_GT(WReplay.Work.CacheHits, 0);
+  EXPECT_LT(WReplay.Work.Pivots, WCold.Work.Pivots);
 }
 
 namespace {
 
 /// Per-resource blocks fanned over 2- and 4-worker executors vs inline,
 /// with and without the balancing passes: identical weights and identical
-/// telemetry (each block's thread-local telemetry delta is published on
-/// the calling thread). With \p WithCache each solve starts from an empty
-/// cache, and the mirrored blocks of R2/R3 replay those of R0/R1.
+/// work (each block's work is summed by the serial publish pass). With
+/// \p WithCache each solve starts from an empty cache, and the mirrored
+/// blocks of R2/R3 replay those of R0/R1.
 void expectFanOutMatchesInline(bool WithCache) {
   TwoComponentFixture F;
   // Solves and pivots of one cold solve when the blocks run one at a time
@@ -300,12 +282,11 @@ void expectFanOutMatchesInline(bool WithCache) {
     BwpSubproblemCache InlineCache;
     BwpSolveOptions Inline;
     Inline.Cache = WithCache ? &InlineCache : nullptr;
-    lp::LpTelemetry InlineTel;
-    CoreWeights WInline = solveWith(F, Inline, InlineTel, SoloIpc);
-    EXPECT_EQ(InlineTel.Solves, WithCache ? C.Solves / 2 : C.Solves);
-    EXPECT_EQ(InlineTel.Pivots, WithCache ? C.Pivots / 2 : C.Pivots);
-    EXPECT_EQ(InlineTel.WarmStartAttempts, WithCache ? 8 : 0);
-    EXPECT_EQ(InlineTel.WarmStartHits, WithCache ? 4 : 0);
+    CoreWeights WInline = solveWith(F, Inline, SoloIpc);
+    EXPECT_EQ(WInline.Work.Solves, WithCache ? C.Solves / 2 : C.Solves);
+    EXPECT_EQ(WInline.Work.Pivots, WithCache ? C.Pivots / 2 : C.Pivots);
+    EXPECT_EQ(WInline.Work.CacheProbes, WithCache ? 8 : 0);
+    EXPECT_EQ(WInline.Work.CacheHits, WithCache ? 4 : 0);
     for (unsigned Workers : {2u, 4u}) {
       SCOPED_TRACE(Workers);
       Executor Exec(Workers);
@@ -313,10 +294,9 @@ void expectFanOutMatchesInline(bool WithCache) {
       BwpSolveOptions Fanned = Inline;
       Fanned.Exec = &Exec;
       Fanned.Cache = WithCache ? &FannedCache : nullptr;
-      lp::LpTelemetry FannedTel;
-      CoreWeights WFanned = solveWith(F, Fanned, FannedTel, SoloIpc);
+      CoreWeights WFanned = solveWith(F, Fanned, SoloIpc);
       expectBitwiseEqual(WFanned, WInline);
-      expectSameTelemetry(FannedTel, InlineTel);
+      expectSameWork(WFanned.Work, WInline.Work);
       EXPECT_EQ(FannedCache.numEntries(), InlineCache.numEntries());
     }
   }
@@ -422,4 +402,25 @@ TEST(Lp2Pipeline, WarmVsColdBitwiseSkl) {
   EXPECT_EQ(C.WarmHits, 0);
   EXPECT_LT(W.CorePivots + W.CompletePivots,
             C.CorePivots + C.CompletePivots);
+}
+
+TEST(Lp2Pipeline, LpCountsIgnoreMeasurementCache) {
+  // Two maps over one runner: the second finds every benchmark in the
+  // runner's cache, so the analytic oracle solves none of its
+  // port-scheduling LPs. The LP counts cover the weight solves only, so
+  // the two maps must report the same work.
+  MachineModel M = makeSklLike();
+  AnalyticOracle Oracle(M);
+  BenchmarkRunner Runner(M, Oracle);
+  const PalmedResult Cold = Pipeline(Runner).run();
+  const size_t Measured = Runner.numDistinctBenchmarks();
+  const PalmedResult Warm = Pipeline(Runner).run();
+  EXPECT_EQ(Runner.numDistinctBenchmarks(), Measured);
+  EXPECT_EQ(Warm.Mapping.toText(M.isa()), Cold.Mapping.toText(M.isa()));
+  EXPECT_EQ(Warm.Stats.CoreLpSolves, Cold.Stats.CoreLpSolves);
+  EXPECT_EQ(Warm.Stats.CoreLpPivots, Cold.Stats.CoreLpPivots);
+  EXPECT_EQ(Warm.Stats.CompleteLpSolves, Cold.Stats.CompleteLpSolves);
+  EXPECT_EQ(Warm.Stats.CompleteLpPivots, Cold.Stats.CompleteLpPivots);
+  EXPECT_EQ(Warm.Stats.LpWarmStartAttempts, Cold.Stats.LpWarmStartAttempts);
+  EXPECT_EQ(Warm.Stats.LpWarmStartHits, Cold.Stats.LpWarmStartHits);
 }

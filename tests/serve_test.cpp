@@ -33,6 +33,7 @@
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <thread>
+#include <tuple>
 #include <unistd.h>
 #include <vector>
 
@@ -305,51 +306,60 @@ TEST(ServeProtocol, OversizedStringsTruncateToDecodableFrames) {
 //===----------------------------------------------------------------------===//
 
 TEST(ServeCache, ComputesOncePerKey) {
+  // First insert wins: a second insert of the key keeps the first entry,
+  // at the same address, and reports that it existed.
   PredictionCache Cache;
-  int Calls = 0;
-  auto Compute = [&] {
-    ++Calls;
-    Prediction P;
-    P.Ipc = 4.0;
-    return P;
-  };
-  bool Hit = true;
-  EXPECT_EQ(Cache.getOrCompute("k", Compute, &Hit).Ipc, 4.0);
-  EXPECT_FALSE(Hit);
-  EXPECT_EQ(Cache.getOrCompute("k", Compute, &Hit).Ipc, 4.0);
-  EXPECT_TRUE(Hit);
-  EXPECT_EQ(Calls, 1);
+  Prediction P;
+  P.Ipc = 4.0;
+  auto [First, FirstExisted] = Cache.insert("k", P);
+  EXPECT_FALSE(FirstExisted);
+  ASSERT_NE(First, nullptr);
+  P.Ipc = 5.0;
+  auto [Second, SecondExisted] = Cache.insert("k", P);
+  EXPECT_TRUE(SecondExisted);
+  EXPECT_EQ(Second, First);
+  EXPECT_EQ(First->Ipc, 4.0);
   EXPECT_EQ(Cache.size(), 1u);
 
-  Prediction Out;
-  EXPECT_TRUE(Cache.lookup("k", Out));
-  EXPECT_EQ(Out.Ipc, 4.0);
-  EXPECT_FALSE(Cache.lookup("other", Out));
+  EXPECT_EQ(Cache.lookupPtr("k"), First);
+  EXPECT_EQ(Cache.lookupPtr("other"), nullptr);
 }
 
 TEST(ServeCacheConcurrency, ExactlyOnceUnderContention) {
+  // Every thread inserts its own answer for the same keys; each key keeps
+  // exactly one entry, the first inserter's, and every thread sees it at
+  // one address.
   PredictionCache Cache;
   constexpr int NumThreads = 8;
-  constexpr int KeysPerThread = 64;
-  std::atomic<int> Computes{0};
+  constexpr int NumKeys = 64;
+  const Prediction *Seen[NumThreads][NumKeys] = {};
+  bool Existed[NumThreads][NumKeys] = {};
   std::vector<std::thread> Threads;
   for (int T = 0; T < NumThreads; ++T)
-    Threads.emplace_back([&] {
-      for (int K = 0; K < KeysPerThread; ++K) {
-        std::string Key = "kernel-" + std::to_string(K);
-        Prediction P = Cache.getOrCompute(Key, [&] {
-          Computes.fetch_add(1);
-          Prediction Q;
-          Q.Ipc = static_cast<double>(K);
-          return Q;
-        });
-        EXPECT_EQ(P.Ipc, static_cast<double>(K));
+    Threads.emplace_back([&, T] {
+      for (int K = 0; K < NumKeys; ++K) {
+        Prediction P;
+        P.Ipc = static_cast<double>(T * NumKeys + K);
+        std::tie(Seen[T][K], Existed[T][K]) =
+            Cache.insert("kernel-" + std::to_string(K), std::move(P));
       }
     });
   for (std::thread &T : Threads)
     T.join();
-  EXPECT_EQ(Computes.load(), KeysPerThread);
-  EXPECT_EQ(Cache.size(), static_cast<size_t>(KeysPerThread));
+  EXPECT_EQ(Cache.size(), static_cast<size_t>(NumKeys));
+  for (int K = 0; K < NumKeys; ++K) {
+    SCOPED_TRACE(K);
+    int Winners = 0;
+    for (int T = 0; T < NumThreads; ++T) {
+      EXPECT_EQ(Seen[T][K], Seen[0][K]);
+      if (!Existed[T][K]) {
+        ++Winners;
+        EXPECT_EQ(Seen[T][K]->Ipc, static_cast<double>(T * NumKeys + K));
+      }
+    }
+    EXPECT_EQ(Winners, 1);
+    EXPECT_EQ(Cache.lookupPtr("kernel-" + std::to_string(K)), Seen[0][K]);
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -484,8 +494,11 @@ TEST(ServeServer, ReportsErrorsAndStatuses) {
     // path reached predictCycles' unchecked rho reads for it. It must come
     // back Unsupported, never garbage or a crash.
     Req.Kernels = {"ADDSS", "BSR", "ADDSS BSR"};
-    QueryResponse Resp = S2.evaluate(Req, &Hits, &Misses, &Error);
-    EXPECT_TRUE(Error.empty()) << Error;
+    auto Wire = S2.evaluateWire(Req, &Hits, &Misses, &Error);
+    ASSERT_TRUE(Wire) << Error;
+    auto Decoded = decodeQueryResponse(*Wire);
+    ASSERT_TRUE(Decoded);
+    const QueryResponse &Resp = *Decoded;
     ASSERT_EQ(Resp.Answers.size(), 3u);
     EXPECT_EQ(Resp.Answers[0].S, KernelAnswer::Status::Ok);
     EXPECT_EQ(Resp.Answers[1].S, KernelAnswer::Status::Unsupported);
@@ -530,8 +543,11 @@ TEST(ServeServer, BatchDedupesWithinRequest) {
   QueryRequest Req;
   Req.Machine = "fig1";
   Req.Kernels.assign(100, "ADDSS^3 BSR");
-  QueryResponse R = F.S.evaluate(Req, &Hits, &Misses, &Error);
-  EXPECT_TRUE(Error.empty()) << Error;
+  auto Wire = F.S.evaluateWire(Req, &Hits, &Misses, &Error);
+  ASSERT_TRUE(Wire) << Error;
+  auto Decoded = decodeQueryResponse(*Wire);
+  ASSERT_TRUE(Decoded);
+  const QueryResponse &R = *Decoded;
   ASSERT_EQ(R.Answers.size(), 100u);
   EXPECT_EQ(Misses, 1u);
   EXPECT_EQ(Hits, 99u);

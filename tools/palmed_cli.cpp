@@ -313,15 +313,17 @@ int cmdMap(const Options &O) {
                R.Stats.SelectionSeconds, R.Stats.CoreMappingSeconds,
                R.Stats.CompleteMappingSeconds);
   std::fprintf(stderr,
-               "LP2: %zu shape-search nodes, %ld/%ld block-cache hits "
-               "(%.1f%% of probes), %ld+%ld pivots\n",
+               "LP: %zu shape-search nodes, %ld/%ld block-cache hits "
+               "(%.1f%% of probes), core %ld solves/%ld pivots, "
+               "complete %ld/%ld\n",
                R.Stats.ShapeSearchNodes, R.Stats.LpWarmStartHits,
                R.Stats.LpWarmStartAttempts,
                R.Stats.LpWarmStartAttempts > 0
                    ? 100.0 * static_cast<double>(R.Stats.LpWarmStartHits) /
                          static_cast<double>(R.Stats.LpWarmStartAttempts)
                    : 0.0,
-               R.Stats.CoreLpPivots, R.Stats.CompleteLpPivots);
+               R.Stats.CoreLpSolves, R.Stats.CoreLpPivots,
+               R.Stats.CompleteLpSolves, R.Stats.CompleteLpPivots);
 
   if (!O.SaveFile.empty()) {
     serve::MappingIOError Err;
